@@ -12,19 +12,20 @@ Two measurements back the PR's performance claims, written to
   to the single-disk engine's.
 
 * **slab-parallel speedup** (wall clock): the same sweep executed
-  serially and through
-  :func:`~repro.planner.parallel.parallel_tetris_scan` with 2 and 4
+  serially (the per-tuple ``tetris_scan``) and through
+  :func:`~repro.planner.parallel.parallel_tetris_scan` with 1, 2 and 4
   workers on a ~100k-tuple LINEITEM instance, under both kernel
   backends.  The serial baseline is reported twice — *cold* (first
   touch: buffer-pool misses, column builds) and *warm* (best of the
-  repeats) — and every speedup is computed against the **warm** number,
-  the honest one.  Each worker entry records the executor that ran
-  (``threads``/``fork``/``inline``), any
-  :class:`~repro.planner.parallel.ExecutorFallbackEvent`, the pickled
-  bytes the transport shipped per slab (zero for the zero-copy
-  executors), and ``underprovisioned: true`` whenever the host has
-  fewer cores than workers — on such a host the numbers cannot show a
-  speedup and say so instead of hiding it.
+  repeats).  Every worker entry carries two ratios so batching and
+  parallelism show separately: ``speedup`` against the **warm** serial
+  scan (whole-slab batching plus any thread overlap) and
+  ``speedup_vs_inline`` against the ``workers=1`` entry, the same
+  batched work run inline (thread overlap alone).  Each entry records
+  the executor that ran (``threads``/``inline``) and
+  ``underprovisioned: true`` whenever the host has fewer cores than
+  workers — on such a host the numbers cannot show a parallel speedup
+  and say so instead of hiding it.
 
 Run it directly::
 
@@ -143,7 +144,7 @@ def bench_parallel_speedup(
     data: Any,
     backend: str,
     repeats: int,
-    worker_counts: "tuple[int, ...]" = (2, 4),
+    worker_counts: "tuple[int, ...]" = (1, 2, 4),
 ) -> tuple[dict[str, Any], list]:
     restrictions = _restrictions()
     cpu_count = os.cpu_count() or 1
@@ -173,7 +174,10 @@ def bench_parallel_speedup(
             f"[{backend}] serial cold {serial_cold:.3f}s, "
             f"warm {serial_warm:.3f}s"
         )
-        for workers in worker_counts:
+        # the inline (workers=1) entry runs first: it is the batched
+        # baseline every speedup_vs_inline divides
+        inline_best: float | None = None
+        for workers in sorted({1, *worker_counts}):
             best = float("inf")
             result = None
             for _ in range(repeats):
@@ -184,7 +188,6 @@ def bench_parallel_speedup(
                     restrictions,
                     SORT_ATTR,
                     workers=workers,
-                    measure_serialization=True,
                 )
                 best = min(best, time.perf_counter() - start)
                 if result.rows != serial_stream:
@@ -193,23 +196,24 @@ def bench_parallel_speedup(
                         "not bit-identical to the serial scan"
                     )
             assert result is not None
-            serialized = list(result.serialized_bytes_per_slab or [])
+            if inline_best is None:
+                inline_best = best
             entry["workers"][str(workers)] = {
                 "seconds": round(best, 4),
                 "speedup": round(serial_warm / best, 3) if best > 0 else None,
+                "speedup_vs_inline": (
+                    round(inline_best / best, 3) if best > 0 else None
+                ),
                 "pool_workers": result.workers,
                 "executor": result.executor,
-                "fallbacks": [event.describe() for event in result.fallbacks],
-                "serialized_bytes_per_slab": serialized,
-                "serialized_bytes_total": sum(serialized),
                 "bit_identical": True,  # asserted above
                 "underprovisioned": cpu_count < workers,
             }
             print(
                 f"[{backend}] workers={workers} {best:.3f}s via "
-                f"{result.executor} (warm serial {serial_warm:.3f}s, "
-                f"speedup {serial_warm / best:.2f}x, "
-                f"{sum(serialized)} bytes serialized"
+                f"{result.executor} (speedup {serial_warm / best:.2f}x vs "
+                f"warm serial {serial_warm:.3f}s, "
+                f"{inline_best / best:.2f}x vs inline"
                 f"{', UNDERPROVISIONED' if cpu_count < workers else ''})"
             )
     return entry, serial_stream

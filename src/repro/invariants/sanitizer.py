@@ -499,14 +499,12 @@ def fork_safe(func: _FuncT) -> _FuncT:
 
 # The engine's single declared order.  Rationale, outermost first:
 # the thread executor's staging lock is held while faulting pages in
-# (staging -> buffer-pool); the pool issues scheduler reads and notifies
-# shm eviction observers while holding its own lock (buffer-pool ->
-# io-scheduler, buffer-pool -> shm-store); the executor observer list
-# never nests inside anything else.
+# (staging -> buffer-pool); the pool issues scheduler reads while
+# holding its own lock (buffer-pool -> io-scheduler); the
+# executor-observers list never nests inside anything else.
 GLOBAL_LOCK_ORDER = declare_lock_order(
     "executor-staging",
     "executor-observers",
     "buffer-pool",
     "io-scheduler",
-    "shm-store",
 )

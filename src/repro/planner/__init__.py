@@ -13,14 +13,10 @@ from .executor import (
 )
 from .optimizer import CandidatePlan, RelationStats, choose_plan, enumerate_plans
 from .parallel import (
-    ExecutorFallbackEvent,
     ParallelScanResult,
     SweepSlab,
     parallel_tetris_scan,
     plan_slabs,
-    register_fallback_observer,
-    select_executor,
-    unregister_fallback_observer,
 )
 from .statistics import AttributeHistogram, TableStatistics
 
@@ -29,7 +25,6 @@ __all__ = [
     "CandidatePlan",
     "DegradationEvent",
     "ExecutablePlan",
-    "ExecutorFallbackEvent",
     "ParallelScanResult",
     "PhysicalDesign",
     "PlanExhaustedError",
@@ -44,8 +39,5 @@ __all__ = [
     "plan_slabs",
     "plan_sorted_query",
     "register_degradation_observer",
-    "register_fallback_observer",
-    "select_executor",
     "unregister_degradation_observer",
-    "unregister_fallback_observer",
 ]

@@ -19,80 +19,44 @@ order therefore reproduces the serial stream **bit for bit**:
 
 Executors
 ---------
-Three ways to run the slabs, selected by :func:`select_executor` (policy
-``auto``, overridable via the ``REPRO_PARALLEL_EXECUTOR`` environment
-variable or the ``executor=`` argument):
+Every slab is *whole-slab batched*: the coordinator stages the slab's
+pages under a lock (the buffer pool is not thread-safe), then one
+:func:`repro.kernels.scan_block` call computes the slab's stream.  Two
+ways to run the slabs, chosen from ``workers`` alone:
 
 ``threads``
-    One ``ThreadPoolExecutor`` task per slab, *whole-slab batched*: the
-    coordinator stages a slab's pages under a lock (the buffer pool is
-    not thread-safe), then the worker runs one
-    :func:`repro.kernels.scan_block` call over the entire slab.  The
-    NumPy backend's big-array kernels release the GIL, so slabs overlap
-    on real cores with zero serialization and zero data copies.  The
-    default for the ``numpy`` backend.
-
-``fork``
-    One ``fork``-started process per slab batch; children inherit the
-    in-memory simulated database copy-on-write and run an ordinary
-    :class:`~repro.core.tetris.TetrisScan`, with all engine contracts
-    (stream checking, fault injection, quarantine, WAL state) intact.
-    Pages are **never pickled**: they arrive by COW inheritance, and
-    with the NumPy backend the coordinator pre-stages the columnar page
-    cache in ``multiprocessing.shared_memory``
-    (:mod:`repro.kernels.shm`), so children attach read-only views
-    instead of rebuilding arrays.  The default for the ``python``
-    backend.
+    One ``ThreadPoolExecutor`` task per slab, used when
+    ``min(workers, planned slabs) >= 2``.  The NumPy backend's big-array
+    kernels release the GIL, so slabs can overlap on real cores with
+    zero serialization and zero data copies.
 
 ``inline``
-    The slabs run sequentially in the caller (still whole-slab batched).
-    Selected by ``auto`` for ``workers <= 1`` and as the fallback when a
-    requested parallel executor cannot run (``fork`` unavailable, fewer
-    than two workers, a single planned slab) — every downgrade is
-    recorded as a structured :class:`ExecutorFallbackEvent` on the
-    result and pushed to :func:`register_fallback_observer` subscribers,
-    mirroring the plan-degradation events of
-    :mod:`repro.planner.executor`; nothing falls back silently.
+    The slabs run sequentially in the caller, used for one worker or a
+    single planned slab.
 
-Whichever executor runs, the concatenated stream is bit-identical; only
-wall-clock time and observability differ.
+The choice does not depend on the kernel backend, and either executor
+yields the same bit-identical stream; only wall-clock time differs.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .. import invariants, kernels
 from ..core.query_space import QueryBox, QuerySpace, box_is_empty
 from ..core.tetris import SortedTuple, TetrisScan
-from ..invariants.sanitizer import fork_safe, tracked_lock
-from ..kernels import shm
+from ..invariants.sanitizer import tracked_lock
 from ..relational.table import UBTable
-from ..telemetry import ObserverRegistry, TelemetryEvent
 
 __all__ = [
-    "EXECUTOR_ENV_VAR",
-    "ExecutorFallbackEvent",
     "ParallelScanResult",
     "SweepSlab",
     "aligned_shard_slabs",
     "parallel_tetris_scan",
     "plan_slabs",
-    "register_fallback_observer",
-    "select_executor",
-    "unregister_fallback_observer",
 ]
-
-#: environment override for the executor policy ("auto", "threads",
-#: "fork", "inline"); an explicit ``executor=`` argument wins over it
-EXECUTOR_ENV_VAR = "REPRO_PARALLEL_EXECUTOR"
-
-_EXECUTORS = ("auto", "threads", "fork", "inline")
 
 #: "all of them" for region projections (LookaheadCursor.peek is lazy
 #: and stops at exhaustion, so an over-ask costs nothing)
@@ -112,112 +76,6 @@ class SweepSlab:
         return self.hi - self.lo + 1
 
 
-@dataclass(frozen=True)
-class ExecutorFallbackEvent(TelemetryEvent):
-    """One executor-selection downgrade, reported to the caller.
-
-    Mirrors :class:`repro.planner.executor.DegradationEvent` (both
-    extend :class:`repro.telemetry.TelemetryEvent`): a structured
-    record that a requested execution mode was not honoured, observable
-    on the :class:`ParallelScanResult` and through
-    :func:`register_fallback_observer` — never a silent downgrade.
-    """
-
-    requested: str  #: executor asked for ("fork", "auto", ...)
-    selected: str  #: executor actually used
-    reason: str  #: why the requested one was not honoured
-    backend: str  #: kernel backend name at selection time
-    workers: int  #: workers requested
-
-    def describe(self) -> str:
-        return (
-            f"parallel scan requested the {self.requested!r} executor but "
-            f"ran {self.selected!r} ({self.reason}; backend "
-            f"{self.backend!r}, {self.workers} workers)"
-        )
-
-
-_fallback_registry: ObserverRegistry[ExecutorFallbackEvent] = ObserverRegistry()
-
-
-def register_fallback_observer(
-    observer: Callable[[ExecutorFallbackEvent], Any],
-) -> None:
-    """Subscribe to executor fallback events (serving-layer telemetry)."""
-    _fallback_registry.register(observer)
-
-
-def unregister_fallback_observer(
-    observer: Callable[[ExecutorFallbackEvent], Any],
-) -> None:
-    """Drop a subscription added by :func:`register_fallback_observer`."""
-    _fallback_registry.unregister(observer)
-
-
-def _emit_fallback(event: ExecutorFallbackEvent) -> None:
-    _fallback_registry.emit(event)
-
-
-def select_executor(
-    requested: str, backend_name: str, workers: int
-) -> "tuple[str, ExecutorFallbackEvent | None]":
-    """Resolve the executor policy to a concrete executor.
-
-    ``auto`` picks ``threads`` for the NumPy backend (vectorized kernels
-    release the GIL) and ``fork`` for the pure backend (true parallelism
-    needs processes there).  A request that cannot be honoured —
-    ``fork`` on a platform without the fork start method, or an explicit
-    ``threads``/``fork`` request with fewer than two workers — degrades
-    to ``inline`` and returns the :class:`ExecutorFallbackEvent`
-    describing the downgrade.  ``auto`` with ``workers <= 1`` selects
-    ``inline`` silently (that is the policy deciding, not a fallback;
-    explicit requests are never downgraded silently).
-    """
-    if requested not in _EXECUTORS:
-        raise ValueError(
-            f"unknown executor {requested!r}; expected one of "
-            f"{', '.join(_EXECUTORS)}"
-        )
-    if requested == "inline" or (requested == "auto" and workers <= 1):
-        return "inline", None
-    if workers <= 1:
-        return "inline", ExecutorFallbackEvent(
-            requested=requested,
-            selected="inline",
-            reason="parallel execution needs at least 2 workers",
-            backend=backend_name,
-            workers=workers,
-        )
-    if requested == "threads":
-        return "threads", None
-    fork_available = "fork" in multiprocessing.get_all_start_methods()
-    if requested == "fork":
-        if fork_available:
-            return "fork", None
-        return "inline", ExecutorFallbackEvent(
-            requested="fork",
-            selected="inline",
-            reason="the fork start method is unavailable on this platform",
-            backend=backend_name,
-            workers=workers,
-        )
-    # auto
-    if backend_name == "numpy":
-        return "threads", None
-    if fork_available:
-        return "fork", None
-    return "inline", ExecutorFallbackEvent(
-        requested="auto",
-        selected="inline",
-        reason=(
-            "the pure backend parallelizes via fork, and the fork start "
-            "method is unavailable on this platform"
-        ),
-        backend=backend_name,
-        workers=workers,
-    )
-
-
 @dataclass
 class ParallelScanResult:
     """The concatenated, order-exact stream of a slab-parallel sweep."""
@@ -226,11 +84,7 @@ class ParallelScanResult:
     per_slab_counts: list[int]
     rows: list[SortedTuple]
     workers: int  #: workers actually used (1 = ran inline)
-    executor: str = "inline"  #: executor that ran ("threads"/"fork"/"inline")
-    fallbacks: tuple[ExecutorFallbackEvent, ...] = ()
-    #: pickled bytes shipped per slab on the process transport; zero for
-    #: the zero-copy executors, ``None`` when not measured
-    serialized_bytes_per_slab: "list[int] | None" = None
+    executor: str = "inline"  #: executor that ran ("threads"/"inline")
 
     def __iter__(self) -> Iterator[SortedTuple]:
         return iter(self.rows)
@@ -313,7 +167,7 @@ def _slab_space(
 
 
 # ----------------------------------------------------------------------
-# whole-slab batched execution (threads / inline)
+# whole-slab batched execution
 # ----------------------------------------------------------------------
 def _stage_slab(
     table: UBTable,
@@ -403,138 +257,6 @@ def _run_batched(
 
 
 # ----------------------------------------------------------------------
-# fork execution: COW inheritance + shared-memory columns
-# ----------------------------------------------------------------------
-#: fork-inherited context of the in-flight parallel scan; children read
-#: it copy-on-write, the parent clears it once the pool is done
-_WORKER_STATE: dict[str, Any] = {}
-
-
-@fork_safe
-def _run_slab(index: int) -> list[SortedTuple]:
-    """Execute one slab's Tetris sweep (in a worker or inline).
-
-    ``@fork_safe`` marks this as the sanctioned process-pool payload:
-    it is a module-level function (pickled by reference) whose inputs
-    arrive via fork-inherited ``_WORKER_STATE``, never by value
-    (reprolint R013 rejects anything else at the ``pool.map`` site).
-    """
-    table: UBTable = _WORKER_STATE["table"]
-    spaces: list[QuerySpace] = _WORKER_STATE["spaces"]
-    scan = TetrisScan(
-        table.ubtree,
-        spaces[index],
-        _WORKER_STATE["sort_dims"],
-        descending=_WORKER_STATE["descending"],
-        strategy=_WORKER_STATE["strategy"],
-    )
-    return list(scan)
-
-
-def _stage_shared_columns(
-    table: UBTable,
-    spaces: "list[QuerySpace]",
-    sort_dims: "tuple[int, ...]",
-    descending: bool,
-    strategy: str,
-) -> None:
-    """Pre-publish every slab page's columns into the active shm store.
-
-    Fork children then attach read-only views through
-    ``SharedColumnStore.get`` instead of each rebuilding the arrays from
-    the COW'd Python records — the conversion runs once, in the parent.
-    """
-    for space in spaces:
-        _stage_slab(table, space, sort_dims, descending, strategy)
-
-
-def _run_forked(
-    table: UBTable,
-    spaces: "list[QuerySpace]",
-    sort_dims: "tuple[int, ...]",
-    descending: bool,
-    strategy: str,
-    pool_size: int,
-    measure_serialization: bool,
-) -> "tuple[list[list[SortedTuple]], list[int] | None, tuple[ExecutorFallbackEvent, ...]]":
-    """Fork-pool execution; pages travel COW + shm, never pickled.
-
-    The NumPy backend normally pre-stages columns in shared memory.
-    When that staging cannot be set up — NumPy unavailable to the shm
-    module, or the store's segment allocation/activation fails — the
-    scan still runs (children rebuild columns from the COW'd records)
-    but the downgrade is returned as a structured
-    :class:`ExecutorFallbackEvent`, never applied silently.
-    """
-    _WORKER_STATE.update(
-        table=table,
-        spaces=spaces,
-        sort_dims=sort_dims,
-        descending=descending,
-        strategy=strategy,
-    )
-    backend = kernels.get_backend()
-    events: "list[ExecutorFallbackEvent]" = []
-    store: "shm.SharedColumnStore | None" = None
-    if backend.name == "numpy" and shm.active_store() is None:
-        if shm.np is None:
-            events.append(
-                ExecutorFallbackEvent(
-                    requested="fork+shm",
-                    selected="fork",
-                    reason=(
-                        "NumPy is unavailable to the shared-memory column "
-                        "store; workers rebuild columns from COW pages"
-                    ),
-                    backend=backend.name,
-                    workers=pool_size,
-                )
-            )
-        else:
-            try:
-                store = shm.SharedColumnStore(label=getattr(table, "name", ""))
-                shm.activate(store)
-            except (RuntimeError, OSError) as error:
-                if store is not None:
-                    store.close()
-                store = None
-                events.append(
-                    ExecutorFallbackEvent(
-                        requested="fork+shm",
-                        selected="fork",
-                        reason=(
-                            f"shared-memory column staging failed ({error}); "
-                            "workers rebuild columns from COW pages"
-                        ),
-                        backend=backend.name,
-                        workers=pool_size,
-                    )
-                )
-    try:
-        if store is not None:
-            _stage_shared_columns(table, spaces, sort_dims, descending, strategy)
-        per_slab = _fork_map(pool_size, len(spaces))
-    finally:
-        _WORKER_STATE.clear()
-        if store is not None:
-            shm.deactivate()
-            store.close()
-    serialized: "list[int] | None" = None
-    if measure_serialization:
-        # what the process transport actually ships per slab: the result
-        # rows (pages are inherited COW and columns attach via shm, so
-        # no page bytes appear here)
-        serialized = [len(pickle.dumps(chunk)) for chunk in per_slab]
-    return per_slab, serialized, tuple(events)
-
-
-def _fork_map(pool_size: int, slab_count: int) -> "list[list[SortedTuple]]":
-    context = multiprocessing.get_context("fork")
-    with context.Pool(pool_size) as pool:
-        return pool.map(_run_slab, range(slab_count))
-
-
-# ----------------------------------------------------------------------
 # the entry point
 # ----------------------------------------------------------------------
 def parallel_tetris_scan(
@@ -546,8 +268,6 @@ def parallel_tetris_scan(
     slabs: int | None = None,
     descending: bool = False,
     strategy: str = "eager",
-    executor: str | None = None,
-    measure_serialization: bool = False,
 ) -> ParallelScanResult:
     """Run a Tetris sweep as ``slabs`` independent slab sweeps.
 
@@ -556,15 +276,9 @@ def parallel_tetris_scan(
     slabs (default: one per worker) and the per-slab streams are
     concatenated in slab order — ascending slabs for an ascending sort,
     descending slabs (each internally descending) otherwise.  The result
-    is bit-identical to the serial scan's stream on every executor.
-
-    ``executor`` picks the execution mode (``"auto"``, ``"threads"``,
-    ``"fork"``, ``"inline"``); ``None`` reads ``REPRO_PARALLEL_EXECUTOR``
-    and defaults to ``auto`` — see :func:`select_executor`.  Downgrades
-    are recorded as :class:`ExecutorFallbackEvent`\\ s on the result.
-    ``measure_serialization`` additionally reports the pickled bytes the
-    process transport ships per slab (always zero for the zero-copy
-    thread/inline executors).
+    is bit-identical to the serial scan's stream.  The slabs run on
+    ``threads`` when ``min(workers, planned slabs) >= 2`` and
+    ``inline`` otherwise.
     """
     if workers < 1:
         raise ValueError("worker count must be >= 1")
@@ -577,14 +291,6 @@ def parallel_tetris_scan(
     primary = sort_dims[0]
     coord_max = table.space.coord_max
 
-    requested = executor or os.environ.get(EXECUTOR_ENV_VAR) or "auto"
-    backend_name = kernels.get_backend().name
-    selected, fallback = select_executor(requested, backend_name, workers)
-    fallbacks: "tuple[ExecutorFallbackEvent, ...]" = ()
-    if fallback is not None:
-        fallbacks = (fallback,)
-        _emit_fallback(fallback)
-
     planned = plan_slabs(space, primary, coord_max, slabs or workers)
     if descending:
         planned = [
@@ -592,47 +298,12 @@ def parallel_tetris_scan(
             for position, slab in enumerate(reversed(planned))
         ]
     if not planned:
-        return ParallelScanResult(
-            [], [], [], workers=1, executor="inline", fallbacks=fallbacks
-        )
+        return ParallelScanResult([], [], [], workers=1)
     spaces = [_slab_space(space, slab, primary, coord_max) for slab in planned]
-    if selected != "inline" and len(planned) == 1:
-        # one slab cannot overlap with anything; an explicitly requested
-        # parallel executor reports the downgrade, auto decides silently
-        if requested in ("threads", "fork"):
-            event = ExecutorFallbackEvent(
-                requested=requested,
-                selected="inline",
-                reason="the query planned a single sweep slab",
-                backend=backend_name,
-                workers=workers,
-            )
-            fallbacks = fallbacks + (event,)
-            _emit_fallback(event)
-        selected = "inline"
-
-    serialized: "list[int] | None" = None
-    if selected == "fork":
-        pool_size = min(workers, len(planned))
-        per_slab, serialized, fork_events = _run_forked(
-            table,
-            spaces,
-            sort_dims,
-            descending,
-            strategy,
-            pool_size,
-            measure_serialization,
-        )
-        for event in fork_events:
-            _emit_fallback(event)
-        fallbacks = fallbacks + fork_events
-    else:
-        pool_size = min(workers, len(planned)) if selected == "threads" else 1
-        per_slab = _run_batched(
-            table, spaces, sort_dims, descending, strategy, pool_size
-        )
-        if measure_serialization:
-            serialized = [0] * len(per_slab)  # zero-copy transports
+    pool_size = min(workers, len(planned))
+    per_slab = _run_batched(
+        table, spaces, sort_dims, descending, strategy, pool_size
+    )
 
     rows: list[SortedTuple] = []
     for chunk in per_slab:
@@ -642,7 +313,5 @@ def parallel_tetris_scan(
         per_slab_counts=[len(chunk) for chunk in per_slab],
         rows=rows,
         workers=pool_size,
-        executor=selected,
-        fallbacks=fallbacks,
-        serialized_bytes_per_slab=serialized,
+        executor="threads" if pool_size >= 2 else "inline",
     )

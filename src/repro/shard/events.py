@@ -5,8 +5,7 @@ page repair, failover to a replica copy, abandoning a shard, or giving
 up entirely — emits exactly one :class:`ShardDegradationEvent`.  The
 events share the :class:`~repro.telemetry.TelemetryEvent` base and the
 :class:`~repro.telemetry.ObserverRegistry` delivery mechanism with the
-planner's ``DegradationEvent`` and the parallel executor's
-``ExecutorFallbackEvent``, so one observer hook can watch the whole
+planner's ``DegradationEvent``, so one observer hook can watch the whole
 engine degrade.
 """
 

@@ -31,7 +31,7 @@ prefetched page degrades identically to a corrupt demand-fetched one.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from .. import invariants
 from ..invariants.sanitizer import guarded_by, note_access, tracked_lock
@@ -64,7 +64,6 @@ class EvictionPolicy(Protocol):
     "_prefetched",
     "_failures",
     "_quarantined",
-    "_eviction_observers",
     "hits",
     "misses",
     "lookups",
@@ -78,12 +77,12 @@ class EvictionPolicy(Protocol):
 class BufferPool:
     """LRU cache of disk pages with hit/miss accounting and quarantine.
 
-    Frame maps, the dirty/prefetch/quarantine sets, the observer list
-    and every shadow counter are guarded by the pool's ``buffer-pool``
-    lock: all mutating entry points take it, internal helpers inherit
-    it from their callers (reprolint R010 verifies the reachability
-    claim through the call graph, and the ``REPRO_CHECKS=1`` sanitizer
-    verifies the happens-before claim at runtime).
+    Frame maps, the dirty/prefetch/quarantine sets and every shadow
+    counter are guarded by the pool's ``buffer-pool`` lock: all mutating
+    entry points take it, internal helpers inherit it from their callers
+    (reprolint R010 verifies the reachability claim through the call
+    graph, and the ``REPRO_CHECKS=1`` sanitizer verifies the
+    happens-before claim at runtime).
     """
 
     def __init__(
@@ -124,11 +123,6 @@ class BufferPool:
         self.prefetch_issued = 0
         self.prefetch_claimed = 0
         self.prefetch_cancelled = 0
-        #: callbacks fired with the page id whenever a frame leaves the
-        #: pool (eviction, quarantine, drop, cancelled prefetch) —
-        #: derived caches keyed on residency (e.g. the shared-memory
-        #: column store) retire their state in lockstep
-        self._eviction_observers: list[Callable[[int], Any]] = []
         self._frames: OrderedDict[int, Page] = OrderedDict()
         self._dirty: set[int] = set()
         #: resident frames whose async read has not been claimed yet —
@@ -142,23 +136,6 @@ class BufferPool:
         """Happens-before choke point for one guarded-field mutation."""
         if invariants.enabled():
             note_access(self, field, write=True, sim_time=self.disk.stats.time)
-
-    def add_eviction_observer(self, observer: Callable[[int], Any]) -> None:
-        """Call ``observer(page_id)`` whenever a frame leaves the pool."""
-        with self._lock:
-            self._eviction_observers.append(observer)
-            self._note_write("_eviction_observers")
-
-    def remove_eviction_observer(self, observer: Callable[[int], Any]) -> None:
-        """Detach a previously added observer (no-op when absent)."""
-        with self._lock:
-            if observer in self._eviction_observers:
-                self._eviction_observers.remove(observer)
-            self._note_write("_eviction_observers")
-
-    def _notify_evicted(self, page_id: int) -> None:
-        for observer in self._eviction_observers:
-            observer(page_id)
 
     def __contains__(self, page_id: int) -> bool:
         return page_id in self._frames
@@ -290,8 +267,7 @@ class BufferPool:
             if page_id not in self._prefetched:
                 return False
             self._cancel_pending(page_id)
-            if self._frames.pop(page_id, None) is not None:
-                self._notify_evicted(page_id)
+            self._frames.pop(page_id, None)
             self._validate()
             return True
 
@@ -380,8 +356,7 @@ class BufferPool:
         # async read of it along the way
         if page_id in self._prefetched:
             self._cancel_pending(page_id)
-        if self._frames.pop(page_id, None) is not None:
-            self._notify_evicted(page_id)
+        self._frames.pop(page_id, None)
         self._dirty.discard(page_id)
 
     # ------------------------------------------------------------------
@@ -464,7 +439,6 @@ class BufferPool:
                 if page_id in self._dirty:
                     self._dirty.discard(page_id)
                     self.disk.write(page, category=category)
-                self._notify_evicted(page_id)
             self._validate()
 
     def flush(self, *, category: str = "data") -> None:
@@ -489,12 +463,9 @@ class BufferPool:
         with self._lock:
             for page_id in list(self._prefetched):
                 self._cancel_pending(page_id)
-            dropped = list(self._frames)
             self._frames.clear()
             self._dirty.clear()
             self._note_write("_frames")
-            for page_id in dropped:
-                self._notify_evicted(page_id)
 
     @property
     def hit_ratio(self) -> float:
@@ -518,7 +489,6 @@ class BufferPool:
             if victim_id in self._dirty:
                 self._dirty.discard(victim_id)
                 self.disk.write(victim, category=category)
-            self._notify_evicted(victim_id)
 
     def _choose_victim(self) -> int:
         """The frame to evict: policy first, LRU order as the fallback."""

@@ -1,11 +1,9 @@
 """Shared degradation-telemetry plumbing: one event shape, one registry.
 
-Three subsystems report "I did not do what was asked, here is the
+Two subsystems report "I did not do what was asked, here is the
 structured record" events: the plan executor's
 :class:`~repro.planner.executor.DegradationEvent` (an access path
-failed, the query re-planned), the parallel executor's
-:class:`~repro.planner.parallel.ExecutorFallbackEvent` (a requested
-execution mode was downgraded) and the shard coordinator's
+failed, the query re-planned) and the shard coordinator's
 :class:`~repro.shard.ShardDegradationEvent` (a shard copy was retried,
 repaired, failed over, or given up on).  They share one contract:
 

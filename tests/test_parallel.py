@@ -6,7 +6,6 @@ The CI parallel matrix sets ``REPRO_PARALLEL_WORKERS`` (2 and 4); the
 identity tests honour it so both pool widths are exercised.
 """
 
-import multiprocessing
 import os
 import random
 
@@ -15,20 +14,17 @@ import pytest
 from repro import kernels
 from repro.core.query_space import QueryBox
 from repro.planner import (
-    ExecutorFallbackEvent,
     ParallelScanResult,
     SweepSlab,
     parallel_tetris_scan,
     plan_slabs,
-    register_fallback_observer,
-    select_executor,
-    unregister_fallback_observer,
 )
-from repro.planner import parallel as parallel_module
 from repro.relational import Attribute, Database, IntEncoder, Schema
 
 #: pool width under test — the CI matrix sweeps 2 and 4
 WORKERS = int(os.environ.get("REPRO_PARALLEL_WORKERS", "2"))
+#: the executor a scan over at least WORKERS slabs runs on
+WORKERS_EXECUTOR = "inline" if WORKERS == 1 else "threads"
 
 SEED = 20260806
 
@@ -149,12 +145,15 @@ class TestBitIdenticalStreams:
         )
         assert result.rows == serial
         assert len(result.slabs) == 7
+        assert result.workers == WORKERS
+        assert result.executor == WORKERS_EXECUTOR
 
     def test_single_worker_runs_inline(self, table):
         serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
         result = parallel_tetris_scan(table, {"a1": (100, 900)}, "a2", workers=1)
         assert result.rows == serial
         assert result.workers == 1
+        assert result.executor == "inline"
 
     def test_empty_query_yields_empty_result(self, table):
         result = parallel_tetris_scan(
@@ -162,6 +161,7 @@ class TestBitIdenticalStreams:
         )
         assert result.rows == []
         assert result.slabs == []
+        assert result.executor == "inline"
 
     def test_worker_counts_agree_with_each_other(self, table):
         streams = [
@@ -187,6 +187,12 @@ class TestResultSurface:
         assert len(result) == 2
         assert list(result) == result.rows
 
+    def test_result_surface_defaults(self):
+        result = ParallelScanResult(
+            slabs=[], per_slab_counts=[], rows=[], workers=1
+        )
+        assert result.executor == "inline"
+
     def test_slab_width(self):
         assert SweepSlab(0, 10, 19).width == 10
 
@@ -202,67 +208,9 @@ class TestResultSurface:
 
 
 # ----------------------------------------------------------------------
-# executor selection policy
+# the parity contract: both executors yield the serial stream on both
+# backends; the executor follows from min(workers, planned slabs) alone
 # ----------------------------------------------------------------------
-class TestSelectExecutor:
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            select_executor("gpu", "numpy", 4)
-
-    def test_single_worker_auto_is_inline_without_event(self):
-        # auto deciding on inline for one worker is policy, not a fallback
-        assert select_executor("auto", "numpy", 1) == ("inline", None)
-
-    @pytest.mark.parametrize("requested", ("threads", "fork"))
-    def test_single_worker_explicit_request_emits_event(self, requested):
-        selected, event = select_executor(requested, "python", 1)
-        assert selected == "inline"
-        assert event is not None
-        assert (event.requested, event.selected) == (requested, "inline")
-        assert "2 workers" in event.reason
-
-    def test_explicit_inline(self):
-        assert select_executor("inline", "numpy", 4) == ("inline", None)
-
-    def test_threads_always_honoured(self):
-        assert select_executor("threads", "python", 4) == ("threads", None)
-
-    def test_auto_picks_threads_for_numpy(self):
-        assert select_executor("auto", "numpy", 4) == ("threads", None)
-
-    def test_auto_picks_fork_for_pure_python(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        assert select_executor("auto", "python", 4) == ("fork", None)
-
-    def test_fork_unavailable_degrades_with_event(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        selected, event = select_executor("fork", "python", 4)
-        assert selected == "inline"
-        assert event is not None
-        assert event.requested == "fork"
-        assert event.selected == "inline"
-        assert "fork" in event.describe()
-
-    def test_auto_without_fork_degrades_with_event(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel_module.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        selected, event = select_executor("auto", "python", 4)
-        assert selected == "inline"
-        assert event is not None and event.requested == "auto"
-
-
-# ----------------------------------------------------------------------
-# the parity contract: every executor yields the serial stream
-# ----------------------------------------------------------------------
-EXECUTORS = ("inline", "threads", "fork")
 BACKENDS = tuple(kernels.available_backends())
 
 
@@ -272,21 +220,24 @@ class TestExecutorParity:
         return make_table()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_stream_bit_identical_to_serial(self, table, backend, executor):
-        if executor == "fork" and "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    @pytest.mark.parametrize("descending", (False, True), ids=("asc", "desc"))
+    def test_stream_bit_identical_to_serial(
+        self, table, backend, workers, descending
+    ):
         with kernels.use_backend(backend):
-            serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
+            serial = list(
+                table.tetris_scan({"a1": (100, 900)}, "a2", descending=descending)
+            )
             result = parallel_tetris_scan(
                 table,
                 {"a1": (100, 900)},
                 "a2",
-                workers=WORKERS,
-                executor=executor,
+                workers=workers,
+                descending=descending,
             )
         assert result.rows == serial
-        assert result.executor == executor
+        assert result.executor == ("inline" if workers == 1 else "threads")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_descending_sweep_parity_on_threads(self, table, backend):
@@ -303,231 +254,16 @@ class TestExecutorParity:
                 workers=WORKERS,
                 descending=True,
                 strategy="sweep",
-                executor="threads",
             )
         assert result.rows == serial
-
-    def test_env_var_selects_executor(self, table, monkeypatch):
-        monkeypatch.setenv(parallel_module.EXECUTOR_ENV_VAR, "threads")
-        result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=WORKERS
-        )
-        assert result.executor == "threads"
+        assert result.executor == WORKERS_EXECUTOR
 
     def test_single_slab_downgrades_to_inline(self, table):
-        result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=4, slabs=1, executor="threads"
-        )
-        assert result.executor == "inline"
-        assert len(result.slabs) == 1
-
-
-# ----------------------------------------------------------------------
-# serialization accounting: zero-copy means zero bytes
-# ----------------------------------------------------------------------
-class TestSerializationAccounting:
-    @pytest.fixture(scope="class")
-    def table(self):
-        return make_table()
-
-    def test_not_measured_by_default(self, table):
-        result = parallel_tetris_scan(
-            table, {"a1": (100, 900)}, "a2", workers=WORKERS
-        )
-        assert result.serialized_bytes_per_slab is None
-
-    @pytest.mark.parametrize("executor", ("inline", "threads"))
-    def test_zero_copy_executors_ship_zero_bytes(self, table, executor):
-        result = parallel_tetris_scan(
-            table,
-            {"a1": (100, 900)},
-            "a2",
-            workers=WORKERS,
-            executor=executor,
-            measure_serialization=True,
-        )
-        assert result.serialized_bytes_per_slab == [0] * len(result.slabs)
-
-    def test_fork_ships_only_result_rows(self, table):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
         serial = list(table.tetris_scan({"a1": (100, 900)}, "a2"))
         result = parallel_tetris_scan(
-            table,
-            {"a1": (100, 900)},
-            "a2",
-            workers=WORKERS,
-            executor="fork",
-            measure_serialization=True,
+            table, {"a1": (100, 900)}, "a2", workers=4, slabs=1
         )
         assert result.rows == serial
-        assert result.executor == "fork"
-        assert len(result.serialized_bytes_per_slab) == len(result.slabs)
-        # pages are inherited copy-on-write (and staged in shm on the
-        # NumPy backend) — the transport ships result rows only
-        assert all(size >= 0 for size in result.serialized_bytes_per_slab)
-
-
-# ----------------------------------------------------------------------
-# fallback events: downgrades are structured, never silent
-# ----------------------------------------------------------------------
-class TestFallbackEvents:
-    def test_fallback_surfaces_on_result_and_observer(self, monkeypatch):
-        table = make_table(rows=200)
-        monkeypatch.setattr(
-            parallel_module.multiprocessing,
-            "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
         assert result.executor == "inline"
-        assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert isinstance(event, ExecutorFallbackEvent)
-        assert (event.requested, event.selected) == ("fork", "inline")
-        assert seen == [event]
-        # the downgraded run still honours the stream contract
-        assert result.rows == list(table.tetris_scan({"a1": (100, 900)}, "a2"))
-
-    def test_single_worker_explicit_request_emits_one_event(self):
-        table = make_table(rows=200)
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=1, executor="threads"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        assert result.executor == "inline"
-        assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert (event.requested, event.selected) == ("threads", "inline")
-        assert "at least 2 workers" in event.reason
-        assert seen == [event]
-
-    def test_single_slab_explicit_request_emits_one_event(self):
-        table = make_table(rows=200)
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table,
-                {"a1": (100, 900)},
-                "a2",
-                workers=WORKERS,
-                slabs=1,
-                executor="threads",
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        assert result.executor == "inline"
-        assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert event.reason == "the query planned a single sweep slab"
-        assert seen == [event]
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="no fork start method on this platform",
-    )
-    def test_shm_staging_failure_emits_one_event(self, monkeypatch):
-        if kernels.get_backend().name != "numpy":
-            pytest.skip("shm staging only runs on the numpy backend")
-        table = make_table(rows=200)
-
-        class ExplodingStore:
-            def __init__(self, label=""):
-                raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(
-            parallel_module.shm, "SharedColumnStore", ExplodingStore
-        )
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        # the scan still ran on the fork pool, rebuilding columns from COW
-        assert result.executor == "fork"
-        assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert (event.requested, event.selected) == ("fork+shm", "fork")
-        assert "shared-memory column staging failed" in event.reason
-        assert "no space left on /dev/shm" in event.reason
-        assert seen == [event]
-        assert result.rows == list(table.tetris_scan({"a1": (100, 900)}, "a2"))
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="no fork start method on this platform",
-    )
-    def test_numpy_missing_for_shm_emits_one_event(self, monkeypatch):
-        if kernels.get_backend().name != "numpy":
-            pytest.skip("shm staging only runs on the numpy backend")
-        table = make_table(rows=200)
-        monkeypatch.setattr(parallel_module.shm, "np", None)
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        assert result.executor == "fork"
-        assert len(result.fallbacks) == 1
-        event = result.fallbacks[0]
-        assert (event.requested, event.selected) == ("fork+shm", "fork")
-        assert "NumPy is unavailable" in event.reason
-        assert seen == [event]
-        assert result.rows == list(table.tetris_scan({"a1": (100, 900)}, "a2"))
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="no fork start method on this platform",
-    )
-    def test_clean_fork_run_emits_no_events(self):
-        table = make_table(rows=200)
-        seen = []
-        register_fallback_observer(seen.append)
-        try:
-            result = parallel_tetris_scan(
-                table, {"a1": (100, 900)}, "a2", workers=WORKERS, executor="fork"
-            )
-        finally:
-            unregister_fallback_observer(seen.append)
-        assert result.executor == "fork"
-        assert result.fallbacks == ()
-        assert seen == []
-
-    def test_observer_exceptions_after_unregister_cannot_fire(self):
-        # unregister removes by identity-equality of the bound method
-        events = []
-        register_fallback_observer(events.append)
-        unregister_fallback_observer(events.append)
-        parallel_module._emit_fallback(
-            ExecutorFallbackEvent("threads", "inline", "test", "pure", 1)
-        )
-        assert events == []
-
-    def test_unregister_unknown_observer_is_noop(self):
-        unregister_fallback_observer(lambda event: None)
-
-    def test_result_surface_defaults(self):
-        result = ParallelScanResult(
-            slabs=[], per_slab_counts=[], rows=[], workers=1
-        )
-        assert result.executor == "inline"
-        assert result.fallbacks == ()
-        assert result.serialized_bytes_per_slab is None
+        assert result.workers == 1
+        assert len(result.slabs) == 1

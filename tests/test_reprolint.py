@@ -645,7 +645,7 @@ class TestR008UngatedDiskReads:
 # ----------------------------------------------------------------------
 # suppression, aggregation, CLI
 # ----------------------------------------------------------------------
-# R009: process/serialization machinery outside the sanctioned executors
+# R009: process/serialization machinery outside the sanctioned executor
 # ----------------------------------------------------------------------
 class TestR009IPCConfinement:
     def test_multiprocessing_import_flagged(self):
@@ -677,12 +677,11 @@ class TestR009IPCConfinement:
         )
         assert found == []
 
-    def test_shm_module_is_sanctioned(self):
-        found = lint(
-            "from multiprocessing import shared_memory\n",
-            path="src/repro/kernels/shm.py",
-        )
-        assert found == []
+    def test_former_shm_module_is_flagged(self):
+        # only the slab executor is sanctioned; every other engine
+        # module, kernels/shm.py included, is flagged
+        found = lint("import multiprocessing\n", path="src/repro/kernels/shm.py")
+        assert rules_of(found) == {"R009"}
 
     def test_unrelated_import_passes(self):
         found = lint("import threading\nimport queue\n", path="src/repro/x.py")

@@ -1,9 +1,10 @@
 """Tests for the unified degradation telemetry (``repro.telemetry``).
 
-Three event families — planner :class:`DegradationEvent`, parallel
-:class:`ExecutorFallbackEvent` and shard :class:`ShardDegradationEvent`
-— share one frozen-dataclass base and one observer-registry delivery
-mechanism, and every downgrade path emits exactly one event.
+The event families — planner :class:`DegradationEvent`, shard
+:class:`ShardDegradationEvent`, WAL :class:`RecoveryEvent` and 2PC
+:class:`TxnEvent` — share one frozen-dataclass base and one
+observer-registry delivery mechanism, and every downgrade path emits
+exactly one event.
 """
 
 from dataclasses import FrozenInstanceError, dataclass
@@ -13,7 +14,6 @@ import pytest
 from repro.costmodel import CostParameters
 from repro.planner import (
     DegradationEvent,
-    ExecutorFallbackEvent,
     PlanExhaustedError,
     execute_sorted_query,
     register_degradation_observer,
@@ -50,7 +50,6 @@ class _ProbeEvent(TelemetryEvent):
 class TestTelemetryEvent:
     def test_all_families_extend_the_base(self):
         assert issubclass(DegradationEvent, TelemetryEvent)
-        assert issubclass(ExecutorFallbackEvent, TelemetryEvent)
         assert issubclass(ShardDegradationEvent, TelemetryEvent)
         assert issubclass(RecoveryEvent, TelemetryEvent)
         assert issubclass(TxnEvent, TelemetryEvent)

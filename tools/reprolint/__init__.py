@@ -12,7 +12,7 @@ Python ASTs under ``src/repro`` and mechanically enforces them:
 ``R006`` — no silent error swallowing; retries go through the policy.
 ``R007`` — engine code must not mutate the disk behind an armed WAL.
 ``R008`` — engine code must read data pages through the pool/scheduler.
-``R009`` — process/serialization machinery only in the sanctioned modules.
+``R009`` — process/serialization machinery only in the sanctioned module.
 ``R010`` — guarded shared state is only mutated with its lock reachable.
 ``R011`` — lock acquisitions respect the single declared global order.
 ``R012`` — no fork after threads are spawned on any call path.

@@ -1,4 +1,4 @@
-"""R012/R013 — fork discipline for the slab-parallel executor.
+"""R012/R013 — fork discipline for any process-pool executor.
 
 ``R012``: no fork after threads are spawned on any call path.  A
 ``fork()`` while worker threads are live copies the parent's memory
@@ -12,11 +12,11 @@ iteration *n* precedes a fork in iteration *n+1*), and with-scoped
 ``ThreadPoolExecutor`` blocks reset the flag at exit because the
 context manager joins its workers.
 
-``R013``: objects handed to worker processes must be fork-safe.  The
-fork-side executor ships only *work descriptions* (slab indexes) to
-children — everything heavy rides copy-on-write globals or the
-shared-memory column store.  Every callable handed to a process pool
-(``pool.map``/``submit``/``apply_async``/...) must therefore resolve to
+``R013``: objects handed to worker processes must be fork-safe.  A
+process pool may ship only *work descriptions* (e.g. slab indexes) to
+children — everything heavy must ride copy-on-write globals.  Every
+callable handed to a process pool (``pool.map``/``submit``/
+``apply_async``/...) must therefore resolve to
 a module-level function marked ``@fork_safe`` (the audited whitelist of
 entry points whose closure state is re-derivable in the child).
 Lambdas, bound methods and nested closures are rejected: they drag
