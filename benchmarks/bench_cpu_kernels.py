@@ -2,9 +2,10 @@
 
 Unlike the simulated-clock benchmarks around it, this harness measures
 *real* time: it runs the kernel primitives (curve encode/decode, page
-filtering, key argsort) and a 100k-tuple Q6-style ``TetrisScan`` under
-both kernel backends, verifies the emitted tuple stream, page access
-order and simulated-clock stats are bit-identical, and writes the
+filtering, key argsort, batched region geometry) and a 100k-tuple
+Q6-style ``TetrisScan`` under both kernel backends, verifies the
+emitted tuple stream, page access order, simulated-clock stats and
+region-geometry answers are bit-identical, and writes the
 timings to ``BENCH_cpu.json`` at the repo root so future changes have a
 perf trajectory to regress against.
 
@@ -34,7 +35,12 @@ sys.path.insert(
 
 from repro import invariants, kernels
 from repro.core.curves import Curve
-from repro.core.query_space import QueryBox
+from repro.core.query_space import (
+    ComparisonSpace,
+    IntersectionSpace,
+    IntervalUnionSpace,
+    QueryBox,
+)
 from repro.core.tetris import tetris_sorted
 from repro.core.ubtree import UBTree
 from repro.core.zorder import ZSpace
@@ -100,6 +106,55 @@ def bench_kernels(backend: str, count: int, repeats: int) -> dict[str, float]:
         "filter_space_batch": filter_space_time,
         "argsort_keys": argsort_time,
     }
+
+
+# ----------------------------------------------------------------------
+# batched region geometry: the eager sweep's region pruning
+# ----------------------------------------------------------------------
+#: a 3-d, 48-bit universe: a UB-tree's region geometry (the 64-bit scan
+#: curve would take the backends' scalar block walk)
+REGION_BITS = (16, 16, 16)
+
+
+def region_geometry_spaces() -> dict[str, Any]:
+    """A Q4-style triangle ∧ box restriction and a pushdown cover."""
+    coord_max = tuple((1 << bits) - 1 for bits in REGION_BITS)
+    lo = [0] * len(REGION_BITS)
+    hi = list(coord_max)
+    lo[0], hi[0] = coord_max[0] // 4, coord_max[0] * 3 // 4
+    triangle_box = IntersectionSpace(
+        [QueryBox(tuple(lo), tuple(hi)), ComparisonSpace(len(REGION_BITS), 1, "<", 2)]
+    )
+    # join keys clustered in the lowest quarter of the domain, so the
+    # cover rules out most regions
+    rng = random.Random(SEED)
+    cuts = sorted(rng.sample(range(coord_max[2] // 4), 200))
+    cover = IntervalUnionSpace(coord_max, 2, list(zip(cuts[0::2], cuts[1::2])))
+    return {"triangle_box": triangle_box, "pushdown_cover": cover}
+
+
+def bench_region_geometry(
+    backend: str, regions: int, repeats: int
+) -> tuple[dict[str, float], dict[str, list[bool]]]:
+    """Time ``regions_intersect`` over a Z-curve cut into ``regions``
+    contiguous intervals, the way a UB-Tree partitions its universe."""
+    curve = Curve.z_curve(REGION_BITS)
+    rng = random.Random(SEED)
+    cut_set: set[int] = set()
+    while len(cut_set) < regions - 1:
+        cut_set.add(rng.randrange(1, curve.address_max + 1))
+    cuts = sorted(cut_set)
+    starts = [0] + cuts
+    intervals = list(zip(starts, [cut - 1 for cut in cuts] + [curve.address_max]))
+    times: dict[str, float] = {}
+    answers: dict[str, list[bool]] = {}
+    with kernels.use_backend(backend):
+        for name, space in region_geometry_spaces().items():
+            times[f"regions_intersect.{name}"], answers[name] = _best_of(
+                repeats,
+                lambda space=space: kernels.regions_intersect(curve, intervals, space),
+            )
+    return times, answers
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +249,7 @@ def main(argv: "list[str] | None" = None) -> int:
         )
 
     kernel_count = 10_000 if args.quick else 100_000
+    region_count = 1_000 if args.quick else 10_000
     scan_tuples = 10_000 if args.quick else 100_000
     repeats = 1 if args.quick else 5
 
@@ -203,6 +259,7 @@ def main(argv: "list[str] | None" = None) -> int:
             "bits": list(SCAN_BITS),
             "page_capacity": SCAN_CAPACITY,
             "kernel_batch": kernel_count,
+            "regions": region_count,
             "scan_tuples": scan_tuples,
             "repeats": repeats,
             "quick": args.quick,
@@ -221,14 +278,32 @@ def main(argv: "list[str] | None" = None) -> int:
         report["environment"]["numpy"] = numpy.__version__
 
     parity: dict[str, tuple] = {}
+    geometry: dict[str, dict[str, list[bool]]] = {}
     for backend in backends:
         print(f"[{backend}] kernel primitives ({kernel_count:,} points) ...")
         report["kernels"][backend] = bench_kernels(
             backend, kernel_count, repeats
         )
+        print(f"[{backend}] region geometry ({region_count:,} regions) ...")
+        times, geometry[backend] = bench_region_geometry(
+            backend, region_count, repeats
+        )
+        report["kernels"][backend].update(times)
         print(f"[{backend}] Q6-style TetrisScan ({scan_tuples:,} tuples) ...")
         report["tetris_scan"][backend], parity[backend] = bench_scan(
             backend, scan_tuples, repeats
+        )
+
+    if len(geometry) == 2:
+        same = geometry["python"] == geometry["numpy"]
+        report["kernels"]["regions_intersect_identical_across_backends"] = same
+        assert same, "backends disagree on regions_intersect"
+        print(
+            "region geometry parity: "
+            + ", ".join(
+                f"{name} {sum(hits)}/{len(hits)} regions meet"
+                for name, hits in geometry["python"].items()
+            )
         )
 
     if len(parity) == 2:
@@ -248,7 +323,8 @@ def main(argv: "list[str] | None" = None) -> int:
             print("ERROR: backends disagree on the scan", file=sys.stderr)
             return 1
 
-    for backend, times in report["kernels"].items():
+    for backend in backends:
+        times = report["kernels"][backend]
         line = "  ".join(f"{name}={value * 1e3:.2f}ms" for name, value in times.items())
         print(f"[{backend}] {line}")
     for backend in backends:

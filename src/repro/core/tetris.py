@@ -38,8 +38,10 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from itertools import chain
+from typing import Any, Generator, Iterator, Sequence
 
 # module import (not ``from ..kernels import get_backend``): kernels and
 # core import each other, so the attribute must resolve at call time
@@ -101,6 +103,30 @@ _FlippedCurve = FlippedCurve
 #: ``[tetris_key, arrival_order]`` pair (the point and payload live in
 #: the scan's arrival registry)
 _CacheEntry = list  # [int, int]
+
+
+class _SliceStream(chain):
+    """The rows of a Tetris run, handed out slice by slice.
+
+    The sweep yields one list per flushed slice (Section 4.4: the cache
+    empties a slice at a time); chaining the lists hands the rows out
+    at C level.  :meth:`close` closes the sweep, so abandoning the
+    stream mid-slice still cancels its prefetch window.
+    """
+
+    _slices: "Generator[list[SortedTuple], None, None]"
+
+    @classmethod
+    def over(
+        cls, slices: "Generator[list[SortedTuple], None, None]"
+    ) -> "_SliceStream":
+        stream = cls.from_iterable(slices)
+        stream._slices = slices
+        return stream
+
+    def close(self) -> None:
+        self._slices.close()
+        deque(self, maxlen=0)  # drop the rest of the open slice
 
 
 class TetrisScan:
@@ -197,7 +223,7 @@ class TetrisScan:
         self._box = box
         self._page_reads: list[int] = []  # page access order, for tests
         #: lazily created lookahead cursor over the scheduled regions —
-        #: shared between iteration and :meth:`upcoming_regions`, so a
+        #: shared between iteration and :meth:`upcoming_page_ids`, so a
         #: projection never disturbs the retrieval order
         self._cursor: "LookaheadCursor[_ScheduledRegion] | None" = None
         # sweep-strategy memos: next event beyond a covered interval, and
@@ -223,8 +249,9 @@ class TetrisScan:
             self._cursor = LookaheadCursor(source)
         return self._cursor
 
-    def upcoming_regions(self, count: int) -> list[ZRegion]:
-        """The projected next ``count`` Z-regions in retrieval order.
+    def upcoming_page_ids(self, count: int) -> list[int]:
+        """Page ids of the projected next ``count`` Z-regions, in
+        retrieval order.
 
         Index-only (no data-page I/O): the schedule is computed from
         separator keys and BIGMIN alone, which is what makes sweep-ahead
@@ -234,10 +261,17 @@ class TetrisScan:
         """
         if box_is_empty(self._box):
             return []
-        return [
-            ZRegion(first, last, page_id)
-            for first, last, page_id, _ in self._ensure_cursor().peek(count)
-        ]
+        return [entry[2] for entry in self._ensure_cursor().peek(count)]
+
+    @property
+    def schedule_position(self) -> int:
+        """Regions the sweep has taken off its schedule so far.
+
+        :meth:`upcoming_page_ids` answers the same ``count`` with the
+        same list for as long as this stays put.
+        """
+        cursor = self._cursor
+        return 0 if cursor is None else cursor.consumed
 
     def __iter__(self) -> Iterator[SortedTuple]:
         if box_is_empty(self._box):
@@ -245,14 +279,14 @@ class TetrisScan:
             self.stats.start_clock = disk.clock
             self.stats.end_clock = disk.clock
             return iter(())
-        return self._run(self._ensure_cursor())
+        return _SliceStream.over(self._run(self._ensure_cursor()))
 
     # ------------------------------------------------------------------
     # shared driver: read regions in Tetris order, cache, flush slices
     # ------------------------------------------------------------------
     def _run(
         self, regions: "LookaheadCursor[_ScheduledRegion]"
-    ) -> Iterator[SortedTuple]:
+    ) -> "Iterator[list[SortedTuple]]":
         disk = self.ubtree.tree.buffer.disk
         buffer = self.ubtree.tree.buffer
         curve = self.tetris_curve
@@ -333,24 +367,13 @@ class TetrisScan:
                 # sorted-run heads witness whether anything flushes at all.
                 if not run_buffer.has_key_below(barrier):
                     continue
-                for position in run_buffer.cut(barrier):
-                    if stats.first_output_clock is None:
-                        stats.first_output_clock = disk.clock
-                    stats.tuples_output += 1
-                    stats.end_clock = disk.clock
-                    if stream_checker is not None:
-                        stream_checker.observe(arrivals[position][0])
-                    yield arrivals[position]
+                yield self._flush(run_buffer.cut(barrier), arrivals, stream_checker)
                 stats.slices += 1
 
             # no regions at all, or a conservative final barrier
-            for position in run_buffer.cut(None):
-                if stats.first_output_clock is None:
-                    stats.first_output_clock = disk.clock
-                stats.tuples_output += 1
-                if stream_checker is not None:
-                    stream_checker.observe(arrivals[position][0])
-                yield arrivals[position]
+            rows = self._flush(run_buffer.cut(None), arrivals, stream_checker)
+            if rows:
+                yield rows
             stats.end_clock = disk.clock
         finally:
             # leftover submissions (early termination, or a conservative
@@ -361,33 +384,56 @@ class TetrisScan:
             if prefetcher is not None and owns_prefetcher:
                 prefetcher.close()
 
+    def _flush(
+        self,
+        positions: "list[int]",
+        arrivals: "list[SortedTuple]",
+        stream_checker: "invariants.StreamChecker | None",
+    ) -> "list[SortedTuple]":
+        """One flushed slice's rows; stats are kept per slice, not per row."""
+        rows = [arrivals[position] for position in positions]
+        if rows:
+            stats = self.stats
+            disk_clock = self.ubtree.tree.buffer.disk.clock
+            if stats.first_output_clock is None:
+                stats.first_output_clock = disk_clock
+            stats.tuples_output += len(rows)
+            stats.end_clock = disk_clock
+            if stream_checker is not None:
+                for point, _ in rows:
+                    stream_checker.observe(point)
+        return rows
+
     # ------------------------------------------------------------------
     # eager strategy: static keys, min-heap
     # ------------------------------------------------------------------
     def _eager_regions(self) -> Iterator[_ScheduledRegion]:
         z_curve = self.ubtree.space.z
-        pushdown = self.pushdown
+        stats = self.stats
+        kernel = kernels.get_backend()
         candidates = []
         for region in self.ubtree.regions_overlapping(self.space, prune=False):
-            self.stats.regions_examined += 1
-            if not isinstance(self.space, QueryBox) and not region.intersects(
-                z_curve, self.space
-            ):
-                self.stats.regions_skipped += 1
-                continue
-            # the local restriction wants this page; the pushed-down
-            # join-key cover may still rule it out — that, and only
-            # that, is a pushdown skip (the tests are exact, so every
-            # skipped page truly holds no joinable tuple)
-            if pushdown is not None and not region.intersects(z_curve, pushdown):
-                self.stats.pages_skipped_by_pushdown += 1
-                continue
+            stats.regions_examined += 1
             candidates.append(region)
+        # the region geometry tests are batched over all candidates: one
+        # kernel call for a non-box restriction, then one for the pushed-
+        # down join-key cover over the survivors — a region the local
+        # restriction wants but the cover rules out is a pushdown skip
+        # (the tests are exact, so every skipped page truly holds no
+        # joinable tuple)
+        if not isinstance(self.space, QueryBox):
+            kept = self._intersecting(kernel, z_curve, candidates, self.space)
+            stats.regions_skipped += len(candidates) - len(kept)
+            candidates = kept
+        if self.pushdown is not None:
+            kept = self._intersecting(kernel, z_curve, candidates, self.pushdown)
+            stats.pages_skipped_by_pushdown += len(candidates) - len(kept)
+            candidates = kept
         # static region keys — ``min T_j over (region ∩ bounding box)``,
         # static because Z-regions are disjoint — batched over all
         # candidates in one kernel call
         lo, hi = self._box
-        keys = kernels.get_backend().region_min_keys(
+        keys = kernel.region_min_keys(
             z_curve,
             self.tetris_curve,
             [(region.first, region.last) for region in candidates],
@@ -404,6 +450,21 @@ class TetrisScan:
         while heap:
             _, first, last, page_id = heapq.heappop(heap)
             yield first, last, page_id, heap[0][0] if heap else None
+
+    @staticmethod
+    def _intersecting(
+        kernel: "kernels.KernelBackend",
+        z_curve: Curve,
+        regions: "list[ZRegion]",
+        space: QuerySpace,
+    ) -> "list[ZRegion]":
+        """The regions meeting ``space``, in order (one kernel call)."""
+        hits = kernel.regions_intersect(
+            z_curve, [(region.first, region.last) for region in regions], space
+        )
+        if invariants.enabled():
+            invariants.spot_check_regions_intersect(z_curve, regions, space, hits)
+        return [region for region, hit in zip(regions, hits) if hit]
 
     # ------------------------------------------------------------------
     # sweep strategy: the paper's event-point loop

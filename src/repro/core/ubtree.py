@@ -193,20 +193,6 @@ class UBTree:
                 yield region
             z_address = curve.next_in_box(region.last + 1, lo, hi)
 
-    def upcoming_regions(self, space: QuerySpace, count: int) -> list[ZRegion]:
-        """The first ``count`` Z-regions a range query over ``space`` reads.
-
-        Index-only projection (unpriced descents, no data pages) — the
-        same next-region list the range query's own sweep-ahead
-        prefetcher consumes.
-        """
-        projected: list[ZRegion] = []
-        for region in self.regions_overlapping(space):
-            projected.append(region)
-            if len(projected) >= count:
-                break
-        return projected
-
     # ------------------------------------------------------------------
     # the range query (Section 5.3 / standard UB-Tree algorithm)
     # ------------------------------------------------------------------

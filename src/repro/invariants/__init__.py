@@ -39,7 +39,9 @@ Validators
   dimension(s) and query-space membership
   (:mod:`repro.invariants.streams`).
 * :func:`spot_check_scan_page` — re-runs a page kernel on the *other*
-  backend and compares results (:mod:`repro.invariants.parity`).
+  backend and compares results; :func:`spot_check_regions_intersect`
+  checks the batched region-geometry kernel against the per-region test
+  (:mod:`repro.invariants.parity`).
 * :func:`validate_wal` / :func:`validate_replicated_disk` — write-ahead
   log structure (dense LSNs, serial batches, mirror/device agreement)
   and replica-store consistency (:mod:`repro.invariants.durability`).
@@ -62,7 +64,7 @@ from . import sanitizer as sanitizer
 from .accounting import validate_buffer_pool
 from .durability import validate_replicated_disk, validate_wal
 from .errors import InvariantViolation, check
-from .parity import spot_check_scan_page
+from .parity import spot_check_regions_intersect, spot_check_scan_page
 from .sanitizer import (
     GLOBAL_LOCK_ORDER,
     LockOrderViolation,
@@ -102,6 +104,7 @@ __all__ = [
     "reset_sanitizer",
     "sanitizer",
     "set_enabled",
+    "spot_check_regions_intersect",
     "spot_check_scan_page",
     "tracked_lock",
     "validate_bptree",

@@ -6,7 +6,8 @@ asserts this over randomized workloads; with ``REPRO_CHECKS=1`` the
 engine additionally re-runs every page kernel it actually executes on
 the *other* backend and compares results in place — so a divergence
 (say, a stale columnar cache after a missed ``Page.version`` bump)
-raises at the exact page that produced it.
+raises at the exact page that produced it.  The batched region-geometry
+kernel is checked against the per-region reference test it replaces.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from typing import Any, Sequence, TYPE_CHECKING
 from .errors import check
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
+    from ..core.curves import Curve
     from ..core.query_space import QuerySpace
+    from ..core.region import ZRegion
     from ..kernels.base import KernelBackend
     from ..storage.page import Page
 
@@ -65,3 +68,27 @@ def spot_check_scan_page(
         f"(selected={expected[1][:8]}...); if the page was mutated, check "
         "for a missing Page.version bump",
     )
+
+
+def spot_check_regions_intersect(
+    z_curve: "Curve",
+    regions: "Sequence[ZRegion]",
+    space: "QuerySpace",
+    hits: Sequence[bool],
+) -> None:
+    """Compare a ``regions_intersect`` result against per-region
+    :meth:`~repro.core.region.ZRegion.intersects`."""
+    expected = [region.intersects(z_curve, space) for region in regions]
+    got = [bool(hit) for hit in hits]
+    if got != expected:
+        mismatched = [
+            region
+            for region, hit, want in zip(regions, got, expected)
+            if hit != want
+        ]
+        check(
+            False,
+            f"regions_intersect gave {len(got)} answers for {len(regions)} "
+            f"regions, {len(mismatched)} differing from ZRegion.intersects "
+            f"against {type(space).__name__} (first: {mismatched[:1]!r})",
+        )

@@ -15,6 +15,8 @@ bulk loading, the external-sort baseline) are written against:
   (``scan_page`` straight from the storage page, letting backends keep a
   memoized columnar view), one call keys every candidate Z-region of a
   scan,
+* :func:`regions_intersect` — one call tests every candidate Z-region of
+  a scan against a query space's geometry (the eager sweep's pruning),
 * :func:`scan_page_run` / :func:`make_run_buffer` — DPG-style run
   formation: per-page sorted runs in the backend's native representation
   feed a :class:`SortRunBuffer` that consolidates them hierarchically,
@@ -80,6 +82,7 @@ __all__ = [
     "scan_block",
     "merge_sorted_keys",
     "region_min_keys",
+    "regions_intersect",
 ]
 
 _ENV_VAR = "REPRO_KERNEL_BACKEND"
@@ -229,3 +232,9 @@ def region_min_keys(
     hi: Sequence[int],
 ) -> "list[int | None]":
     return _active.region_min_keys(z_curve, sort_curve, intervals, lo, hi)
+
+
+def regions_intersect(
+    z_curve: "Curve", intervals: Sequence[tuple[int, int]], space: "QuerySpace"
+) -> "list[bool]":
+    return _active.regions_intersect(z_curve, intervals, space)

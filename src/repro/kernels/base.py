@@ -259,5 +259,26 @@ class KernelBackend:
         """
         raise NotImplementedError
 
+    def regions_intersect(
+        self,
+        z_curve: "Curve",
+        intervals: Sequence[tuple[int, int]],
+        space: "QuerySpace",
+    ) -> "list[bool]":
+        """Whether each Z-interval's geometry meets ``space``.
+
+        Entry ``i`` equals
+        :meth:`ZRegion(first, last, page).intersects(z_curve, space)
+        <repro.core.region.ZRegion.intersects>` for ``intervals[i]``:
+        ``True`` iff some aligned box of the interval passes
+        ``space.intersects_box`` (exact for the geometric space types,
+        conservative for opaque predicates).  This is the eager Tetris
+        strategy's region pruning, batched over all candidate regions
+        at once; vectorized backends decode every aligned block in one
+        pass and may fall back to the per-region loop for space types
+        they cannot lift.
+        """
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelBackend {self.name}>"

@@ -256,3 +256,19 @@ class PurePythonBackend(KernelBackend):
             position += count
             result.append(min(block) if block else None)
         return result
+
+    def regions_intersect(
+        self,
+        z_curve: "Curve",
+        intervals: Sequence[tuple[int, int]],
+        space: QuerySpace,
+    ) -> "list[bool]":
+        # the per-region reference: ZRegion.intersects, interval by interval
+        intersects_box = space.intersects_box
+        return [
+            any(
+                intersects_box(lo, hi)
+                for lo, hi in z_curve.interval_boxes(first, last)
+            )
+            for first, last in intervals
+        ]

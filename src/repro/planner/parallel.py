@@ -190,10 +190,10 @@ def _stage_slab(
         descending=descending,
         strategy=strategy,
     )
-    regions = scan.upcoming_regions(_ALL_REGIONS)
+    page_ids = scan.upcoming_page_ids(_ALL_REGIONS)
     buffer = table.ubtree.tree.buffer
     category = table.ubtree.category
-    pages = [buffer.get(region.page_id, category=category) for region in regions]
+    pages = [buffer.get(page_id, category=category) for page_id in page_ids]
     backend = kernels.get_backend()
     # the NumPy backend's column conversion is GIL-bound anyway, so
     # priming it here costs no parallelism and keeps the compute phase

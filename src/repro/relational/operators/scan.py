@@ -9,12 +9,16 @@ selection and sorting (Figures 5-3/5-4).
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from ...core.query_space import QuerySpace
 from ...core.tetris import TetrisScan, TetrisStats
 from ..table import HeapTable, IOTTable, UBTable
 from .base import Operator, Row
+
+#: the row of a Tetris ``(point, row)`` pair
+_payload = itemgetter(1)
 
 
 class FullTableScan(Operator):
@@ -111,7 +115,7 @@ class TetrisOperator(Operator):
         return self.scan.stats
 
     def __iter__(self) -> Iterator[Row]:
+        rows = map(_payload, self.scan)
         if self.predicate is None:
-            return (row for _, row in self.scan)
-        predicate = self.predicate
-        return (row for _, row in self.scan if predicate(row))
+            return rows
+        return filter(self.predicate, rows)

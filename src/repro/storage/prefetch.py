@@ -3,7 +3,7 @@
 The Tetris sweep (and the UB-Tree range query, and a heap scan) knows
 which pages it will touch next *before* it needs them — the region
 schedule is computed from index levels alone.  :class:`SweepPrefetcher`
-consumes that projection (``TetrisScan.upcoming_regions``-style
+consumes that projection (``TetrisScan.upcoming_page_ids``-style
 lookahead, generically exposed through :class:`LookaheadCursor`) and
 keeps a bounded number of async reads in flight through the buffer
 pool's prefetch gate, so transfers overlap across the scheduler's device
@@ -22,6 +22,7 @@ frame is still pending.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Any, Generic, Iterable, Iterator, TypeVar
 
 from .buffer import BufferPool
@@ -44,26 +45,35 @@ class LookaheadCursor(Generic[ItemT]):
     its own iteration order.  Safe for the region generators because
     they perform no priced data-page I/O — pulling the schedule forward
     only moves (unpriced) index descents earlier.
+
+    :attr:`consumed` counts the items handed out by iteration; while it
+    stands still, :meth:`peek` answers every ``count`` it already
+    answered with the same items, which is what lets a caller cache a
+    projection per cursor position.
     """
 
     def __init__(self, source: Iterator[ItemT]) -> None:
         self._source = source
         self._buffer: deque[ItemT] = deque()
         self._exhausted = False
+        self.consumed = 0
 
     def __iter__(self) -> Iterator[ItemT]:
         return self
 
     def __next__(self) -> ItemT:
         if self._buffer:
+            self.consumed += 1
             return self._buffer.popleft()
         if self._exhausted:
             raise StopIteration
         try:
-            return next(self._source)
+            item = next(self._source)
         except StopIteration:
             self._exhausted = True
             raise
+        self.consumed += 1
+        return item
 
     def peek(self, count: int) -> list[ItemT]:
         """The next ``count`` items (fewer near the end), not consumed."""
@@ -72,7 +82,7 @@ class LookaheadCursor(Generic[ItemT]):
                 self._buffer.append(next(self._source))
             except StopIteration:
                 self._exhausted = True
-        return list(self._buffer)[:count] if count > 0 else []
+        return list(islice(self._buffer, count)) if count > 0 else []
 
 
 class SweepEvictionPolicy:
@@ -224,8 +234,9 @@ class DualCursorPrefetcher:
     approaches ``max`` of the two sweeps instead of their sum.
 
     Sides are duck-typed: anything exposing ``.ubtree`` (with
-    ``.tree.buffer`` and ``.category``), ``.upcoming_regions(count)``,
-    and an ``.external_prefetch`` attribute — i.e. ``TetrisScan``.
+    ``.tree.buffer`` and ``.category``), ``.upcoming_page_ids(count)``,
+    a ``.schedule_position`` counter of consumed regions, and an
+    ``.external_prefetch`` attribute — i.e. ``TetrisScan``.
     Each side's ``external_prefetch`` is set to its *shared* window: the
     sweep drives per-region top-ups through it while it is the one being
     drained (a scan can read many regions between two emitted rows, when
@@ -241,6 +252,14 @@ class DualCursorPrefetcher:
             raise ValueError("dual-cursor policy needs at least two sides")
         self._sides = sides
         self._closed = False
+        #: per side: the schedule position a projection was taken at,
+        #: and that projection's page ids
+        self._projections: "list[tuple[int, list[int]] | None]" = [None] * len(sides)
+        #: per demanded side: the order in which windows are topped
+        self._orders = [
+            [index] + [side for side in range(len(sides)) if side != index]
+            for index in range(len(sides))
+        ]
         for scan, prefetcher in sides:
             scan.external_prefetch = prefetcher
 
@@ -297,19 +316,26 @@ class DualCursorPrefetcher:
         (demand reads claim submissions without ``mark_consumed``) and
         topped to full depth — the demanded side first, so when windows
         compete for queue slots the side about to be read wins.
+
+        A side is re-projected only when its region cursor has moved
+        since the last call.  Otherwise the cached projection is exact
+        and reconciling is a no-op (the window is already a subset of
+        it); the top-up still runs — a no-op on a full window — because
+        a projected page evicted since the last call may have become
+        submittable.
         """
         if self._closed:
             return
-        order = [index] + [
-            side for side in range(len(self._sides)) if side != index
-        ]
-        for side_index in order:
+        projections = self._projections
+        for side_index in self._orders[index]:
             scan, prefetcher = self._sides[side_index]
-            upcoming = [
-                region.page_id
-                for region in scan.upcoming_regions(prefetcher.depth)
-            ]
-            prefetcher.retain(upcoming)
+            cached = projections[side_index]
+            if cached is None or cached[0] != scan.schedule_position:
+                upcoming = scan.upcoming_page_ids(prefetcher.depth)
+                projections[side_index] = (scan.schedule_position, upcoming)
+                prefetcher.retain(upcoming)
+            else:
+                upcoming = cached[1]
             prefetcher.top_up(upcoming)
 
     def close(self) -> None:

@@ -26,9 +26,15 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.relational import Attribute, Database, IntEncoder, Schema
-from repro.relational.operators import HashJoin, MergeJoin, MergeSemiJoin
+from repro.relational.operators import (
+    HashJoin,
+    MergeJoin,
+    MergeSemiJoin,
+    TetrisOperator,
+)
 from repro.shard import CoPartitionedJoin, ShardedDatabase, ShardFailedError
 from repro.storage import ICDE99_TESTBED
+from repro.storage.prefetch import DualCursorPrefetcher
 from repro.telemetry import register_join_observer, unregister_join_observer
 from repro.tpcd import TPCDConfig, generate, plans, reference_q3, reference_q4
 from repro.tpcd.queries import Q3Params, Q4Params
@@ -64,6 +70,33 @@ Q3_BAND_PARAMS = Q3Params(
     orderdate_before=dt.date(1995, 7, 1),
     shipdate_after=dt.date(1993, 6, 30),
 )
+
+
+#: a mid-domain Q4 window: both sweeps start mid-table and the semi-join
+#: alternates its cursor across many regions of each side
+Q4_BAND_PARAMS = Q4Params(
+    orderdate_from=dt.date(1995, 1, 1), orderdate_until=dt.date(1995, 7, 1)
+)
+
+
+class ReprojectingPrefetcher(DualCursorPrefetcher):
+    """The dual-cursor coordinator before projections were cached.
+
+    Re-projects, reconciles and tops every side before every pull; the
+    cached coordinator must be observationally identical to it.
+    """
+
+    def advise(self, index: int) -> None:
+        if self._closed:
+            return
+        order = [index] + [
+            side for side in range(len(self._sides)) if side != index
+        ]
+        for side_index in order:
+            scan, prefetcher = self._sides[side_index]
+            upcoming = scan.upcoming_page_ids(prefetcher.depth)
+            prefetcher.retain(upcoming)
+            prefetcher.top_up(upcoming)
 
 
 # ----------------------------------------------------------------------
@@ -308,6 +341,92 @@ class TestDualCursorPrefetch:
         assert pipelined.prefetch is not None
         assert pipelined.left.scan.external_prefetch is False
         assert pipelined.right.scan.external_prefetch is False
+
+    # -- advice is exact: the cached coordinator against the oracle ----
+    def fingerprint(self, db, rows, left_scan, right_scan):
+        pool = db.buffer
+        return (
+            rows,
+            list(left_scan.page_access_order),
+            list(right_scan.page_access_order),
+            (pool.prefetch_issued, pool.prefetch_claimed, pool.prefetch_cancelled),
+            db.disk.snapshot(),
+            db.disk.clock,
+        )
+
+    def q4_fingerprint(self, data, coordinator, monkeypatch, devices, depth):
+        monkeypatch.setattr(plans, "DualCursorPrefetcher", coordinator)
+        db = Database(
+            ICDE99_TESTBED, buffer_pages=64, devices=devices, prefetch_depth=depth
+        )
+        order_ub = plans.build_order_ub(db, data)
+        lineitem_ub = plans.build_lineitem_ub_q4(db, data)
+        db.reset_measurement()
+        pipelined = plans.q4_pipelined_plan(
+            db, order_ub, lineitem_ub, Q4_BAND_PARAMS, prefetch=True
+        )
+        assert type(pipelined.prefetch) is coordinator
+        rows = list(pipelined.plan)
+        return self.fingerprint(
+            db, rows, pipelined.left.scan, pipelined.right.scan
+        )
+
+    def merge_fingerprint(self, coordinator, devices, depth):
+        # the pool holds the whole left table plus 16 frames, and the
+        # left table starts warm: its projected pages are resident (the
+        # window refuses them) until the right sweep's reads evict them
+        # while the left cursor stands still — the case in which a
+        # cached projection must still be topped up
+        db = Database(buffer_pages=73, devices=devices, prefetch_depth=depth)
+        left = db.create_ub_table("left", make_schema(), DIMS, 16)
+        left.bulk_load(make_rows(900, seed=11))
+        right = db.create_ub_table("right", make_schema(), DIMS, 16)
+        right.bulk_load(make_rows(1300, seed=12))
+        assert left.page_count == 57
+        db.reset_measurement()
+        for _ in left.tetris_scan(None, "a1"):
+            pass
+        left_stream = TetrisOperator(left, {"a2": (100, 900)}, "a1")
+        right_stream = TetrisOperator(right, {"a2": (0, 600)}, "a1")
+        dual = coordinator.for_operators(left_stream, right_stream)
+        assert dual is not None
+        rows = list(
+            MergeJoin(
+                left_stream,
+                right_stream,
+                left_key=lambda r: r[0],
+                right_key=lambda r: r[0],
+                disk=db.disk,
+                prefetch=dual,
+            )
+        )
+        return self.fingerprint(db, rows, left_stream.scan, right_stream.scan)
+
+    @pytest.mark.parametrize("depth", [1, 4, 8])
+    @pytest.mark.parametrize("devices", [2, 4])
+    def test_cached_advice_matches_reprojecting_oracle_on_q4(
+        self, data, monkeypatch, devices, depth
+    ):
+        oracle = self.q4_fingerprint(
+            data, ReprojectingPrefetcher, monkeypatch, devices, depth
+        )
+        cached = self.q4_fingerprint(
+            data, DualCursorPrefetcher, monkeypatch, devices, depth
+        )
+        assert cached == oracle
+        assert oracle[0] == reference_q4(data, Q4_BAND_PARAMS)
+        assert oracle[3][0] > 0  # the windows really were driven
+
+    @pytest.mark.parametrize("depth", [1, 4, 8])
+    @pytest.mark.parametrize("devices", [2, 4])
+    def test_cached_advice_matches_reprojecting_oracle_on_merge_join(
+        self, devices, depth
+    ):
+        oracle = self.merge_fingerprint(ReprojectingPrefetcher, devices, depth)
+        cached = self.merge_fingerprint(DualCursorPrefetcher, devices, depth)
+        assert cached == oracle
+        assert oracle[0]
+        assert oracle[3][0] > 0
 
     def test_no_prefetch_database_degrades_to_none(self, data):
         db = Database(ICDE99_TESTBED, buffer_pages=256)

@@ -23,8 +23,11 @@ from repro.core import Curve, FlippedCurve, QueryBox, UBTree, ZSpace, tetris_sor
 from repro.core.query_space import (
     ComparisonSpace,
     IntersectionSpace,
+    IntervalUnionSpace,
     PredicateSpace,
+    QuerySpace,
 )
+from repro.core.region import ZRegion
 from repro.storage import BufferPool, SimulatedDisk
 
 HAVE_NUMPY = "numpy" in kernels.available_backends()
@@ -201,6 +204,161 @@ def test_region_min_keys_parity(case):
         np_keys = kernels.region_min_keys(z_curve, sort_curve, intervals, lo, hi)
     assert np_keys == py_keys
     assert base.dims == len(bits)
+
+
+# ----------------------------------------------------------------------
+# batched region geometry: regions_intersect == ZRegion.intersects
+# ----------------------------------------------------------------------
+@st.composite
+def query_spaces(draw, bits, depth=2):
+    """Every geometric space type, nested intersections included."""
+    dims = len(bits)
+    coord_max = tuple((1 << b) - 1 for b in bits)
+    kinds = ["box", "union", "predicate"]
+    if dims >= 2:
+        kinds.append("comparison")
+    if depth:
+        kinds.append("intersection")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "box":
+        lo, hi = [], []
+        for top in coord_max:
+            a, b = draw(st.integers(0, top)), draw(st.integers(0, top))
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+        return QueryBox(lo, hi)
+    if kind == "comparison":
+        left, right = draw(st.permutations(range(dims)))[:2]
+        op = draw(st.sampled_from(["<", "<=", ">", ">="]))
+        return ComparisonSpace(dims, left, op, right)
+    if kind == "union":
+        # sorted distinct cut points paired into disjoint intervals; an
+        # empty draw is the empty cover
+        dim = draw(st.integers(0, dims - 1))
+        cuts = sorted(draw(st.sets(st.integers(0, coord_max[dim]), max_size=8)))
+        intervals = [
+            (a, a if draw(st.booleans()) else b)
+            for a, b in zip(cuts[0::2], cuts[1::2])
+        ]
+        return IntervalUnionSpace(coord_max, dim, intervals)
+    if kind == "predicate":
+        return PredicateSpace(dims, lambda point: sum(point) % 2 == 0)
+    parts = draw(st.lists(query_spaces(bits, depth - 1), min_size=1, max_size=3))
+    return IntersectionSpace(parts)
+
+
+@st.composite
+def region_geometry_cases(draw):
+    dims = draw(st.integers(1, 5))
+    # mostly within the 64-bit vectorized range; wider curves exercise
+    # the NumPy backend's fallback
+    bits = tuple(draw(st.integers(1, 14)) for _ in range(dims))
+    z_curve = Curve.z_curve(bits)
+    addresses = st.integers(0, z_curve.address_max)
+    intervals = []
+    # batches of 32+ intervals take the NumPy backend's vectorized walk
+    for _ in range(draw(st.integers(0, 48))):
+        first = draw(addresses)
+        # single-address regions are the degenerate one-block case
+        last = first if draw(st.booleans()) else draw(addresses)
+        intervals.append((min(first, last), max(first, last)))
+    return z_curve, intervals, draw(query_spaces(bits))
+
+
+def region_reference(z_curve, intervals, space):
+    return [
+        ZRegion(first, last, 0).intersects(z_curve, space)
+        for first, last in intervals
+    ]
+
+
+@given(region_geometry_cases())
+@settings(max_examples=200, deadline=None)
+def test_regions_intersect_matches_region_test(case):
+    z_curve, intervals, space = case
+    expected = region_reference(z_curve, intervals, space)
+    for name in kernels.available_backends():
+        with kernels.use_backend(name):
+            assert kernels.regions_intersect(z_curve, intervals, space) == expected
+
+
+class _CheckerboardSpace(QuerySpace):
+    """A space type no backend can vectorize: the per-region fallback."""
+
+    dims = 2
+
+    def bounding_box(self):
+        return None
+
+    def contains_point(self, point):
+        return (point[0] // 4 + point[1] // 4) % 2 == 0
+
+    def intersects_box(self, lo, hi):
+        return (lo[0] // 4 + lo[1] // 4) % 2 == 0 or hi[0] - lo[0] >= 4
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+def test_regions_intersect_opaque_space_falls_back(backend):
+    z_curve = Curve.z_curve((5, 5))
+    intervals = [(0, 0), (3, 17), (64, 127), (300, 1023), (5, 5)]
+    space = IntersectionSpace([QueryBox((0, 0), (20, 31)), _CheckerboardSpace()])
+    with kernels.use_backend(backend):
+        assert kernels.regions_intersect(z_curve, intervals, space) == (
+            region_reference(z_curve, intervals, space)
+        )
+        assert kernels.regions_intersect(z_curve, [], space) == []
+
+
+@needs_numpy
+@given(st.integers(1, 63), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vectorized_block_walk_matches_interval_blocks(total_bits, data):
+    import numpy as np
+
+    from repro.kernels.numpy_backend import _interval_blocks
+
+    curve = Curve.z_curve((total_bits,))
+    top = curve.address_max
+    bounds = data.draw(
+        st.lists(st.tuples(st.integers(0, top), st.integers(0, top)), min_size=1)
+    )
+    intervals = [(min(a, b), max(a, b)) for a, b in bounds] + [(0, top)]
+    array = np.array(intervals, dtype=np.uint64)
+    positions, sizes, counts = _interval_blocks(total_bits, array[:, 0], array[:, 1])
+    walks = [list(curve.interval_blocks(first, last)) for first, last in intervals]
+    assert counts.tolist() == [len(walk) for walk in walks]
+    assert list(zip(positions.tolist(), sizes.tolist())) == [
+        block for walk in walks for block in walk
+    ]
+
+
+@needs_numpy
+def test_region_kernels_on_a_64_bit_curve():
+    """Exactly 64 address bits: the block walk's exclusive end overflows
+    ``uint64``, so the NumPy backend enumerates blocks the scalar way."""
+    bits = (16, 16, 16, 16)
+    z_curve = Curve.z_curve(bits)
+    sort_curve = FlippedCurve(Curve.tetris_curve(bits, (2,)), frozenset({2}))
+    top = z_curve.address_max
+    rng = random.Random(64)
+    intervals = [(0, top), (top, top), (0, 0), (1 << 63, top)]
+    for _ in range(40):
+        a, b = rng.randint(0, top), rng.randint(0, top)
+        intervals.append((min(a, b), max(a, b)))
+    space = IntersectionSpace(
+        [QueryBox((0, 0, 0, 0), (60000, 65535, 65535, 40000)),
+         ComparisonSpace(4, 1, ">=", 3)]
+    )
+    lo, hi = (1000, 0, 0, 5), (60000, 65535, 30000, 40000)
+    results = {}
+    for name in ("python", "numpy"):
+        with kernels.use_backend(name):
+            results[name] = (
+                kernels.regions_intersect(z_curve, intervals, space),
+                kernels.region_min_keys(z_curve, sort_curve, intervals, lo, hi),
+            )
+    assert results["numpy"] == results["python"]
+    assert results["python"][0] == region_reference(z_curve, intervals, space)
 
 
 # ----------------------------------------------------------------------

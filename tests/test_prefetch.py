@@ -82,6 +82,18 @@ class TestLookaheadCursor:
         cursor = LookaheadCursor(iter(range(3)))
         assert cursor.peek(0) == []
 
+    def test_consumed_counts_iteration_not_peeks(self):
+        cursor = LookaheadCursor(iter(range(4)))
+        assert cursor.peek(3) == [0, 1, 2]
+        assert cursor.consumed == 0
+        assert next(cursor) == 0  # from the lookahead buffer
+        assert cursor.peek(1) == [1]
+        assert cursor.consumed == 1
+        assert list(cursor) == [1, 2, 3]  # buffered, then from the source
+        assert cursor.consumed == 4
+        assert next(cursor, None) is None
+        assert cursor.consumed == 4
+
 
 # ----------------------------------------------------------------------
 # the LRU pathology: plain LRU evicts the page the sweep needs next,

@@ -6,9 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core import QueryBox, TetrisScan, UBTree, ZSpace, tetris_sorted
-from repro.core.query_space import ComparisonSpace, IntersectionSpace, PredicateSpace
-from repro.storage import BufferPool, SimulatedDisk
+from repro.core.query_space import (
+    ComparisonSpace,
+    IntersectionSpace,
+    IntervalUnionSpace,
+    PredicateSpace,
+    box_is_empty,
+)
+from repro.relational import Attribute, Database, IntEncoder, Schema
+from repro.relational.operators import MergeJoin, TetrisOperator
+from repro.storage import BufferPool, IOScheduler, SimulatedDisk, SweepPrefetcher
+from repro.storage.prefetch import DualCursorPrefetcher
 
 STRATEGIES = ("sweep", "eager")
 
@@ -298,3 +308,194 @@ def test_tetris_property(case):
     expected = expected_sorted(points, box, dim, descending)
     assert len(sweep_out) == len(expected)
     assert sorted(map(repr, sweep_out)) == sorted(map(repr, expected))
+
+
+# ----------------------------------------------------------------------
+# slice-granular emission
+# ----------------------------------------------------------------------
+class PerRowTetrisScan(TetrisScan):
+    """The sweep before slice emission: one generator step per row.
+
+    Kept as the oracle the slice-granular driver must match on drained
+    scans — same stream, same page order, same stats.
+    """
+
+    def __iter__(self):
+        if box_is_empty(self._box):
+            return super().__iter__()
+        return self._per_row(self._ensure_cursor())
+
+    def _per_row(self, regions):
+        buffer = self.ubtree.tree.buffer
+        disk = buffer.disk
+        stats = self.stats
+        kernel = kernels.get_backend()
+        stats.start_clock = disk.clock
+        run_buffer = kernel.make_run_buffer()
+        arrivals = []
+        prefetcher = SweepPrefetcher.for_pool(buffer, category=self.ubtree.category)
+        try:
+            for _, _, page_id, barrier in regions:
+                if prefetcher is not None:
+                    prefetcher.top_up(
+                        entry[2] for entry in regions.peek(prefetcher.depth)
+                    )
+                page = buffer.get(page_id, category=self.ubtree.category)
+                if prefetcher is not None:
+                    prefetcher.mark_consumed(page_id)
+                stats.regions_read += 1
+                self._page_reads.append(page_id)
+                count, selected, run = kernel.scan_page_run(
+                    self.tetris_curve, self.effective_space, page, len(arrivals)
+                )
+                if count:
+                    arrivals.extend(page.records[index][1] for index in selected)
+                    run_buffer.push(run)
+                stats.max_cache_tuples = max(stats.max_cache_tuples, len(run_buffer))
+                if not run_buffer.has_key_below(barrier):
+                    continue
+                for position in run_buffer.cut(barrier):
+                    if stats.first_output_clock is None:
+                        stats.first_output_clock = disk.clock
+                    stats.tuples_output += 1
+                    stats.end_clock = disk.clock
+                    yield arrivals[position]
+                stats.slices += 1
+            for position in run_buffer.cut(None):
+                if stats.first_output_clock is None:
+                    stats.first_output_clock = disk.clock
+                stats.tuples_output += 1
+                yield arrivals[position]
+            stats.end_clock = disk.clock
+        finally:
+            if prefetcher is not None:
+                prefetcher.close()
+
+
+def prefetching_ubtree(bits, *, devices=2, depth=4, buffer_pages=48):
+    disk = SimulatedDisk()
+    scheduler = IOScheduler(disk, devices, prefetch_depth=depth)
+    pool = BufferPool(disk, buffer_pages, scheduler=scheduler)
+    return UBTree(pool, ZSpace(bits), page_capacity=4), disk
+
+
+class TestSliceEmission:
+    BITS = (5, 5, 4)
+
+    def drained(self, scan_cls, backend, *, descending, pushdown, restriction,
+                prefetch):
+        if prefetch:
+            ubtree, disk = prefetching_ubtree(self.BITS)
+        else:
+            ubtree, disk = make_ubtree(bits=self.BITS, buffer_pages=48)
+        fill(ubtree, 500, seed=31, bits=self.BITS)
+        ubtree.tree.buffer.drop_all()
+        box = QueryBox((2, 0, 1), (29, 31, 14))
+        space = (
+            box
+            if restriction == "box"
+            else IntersectionSpace([box, ComparisonSpace(3, 0, "<", 1)])
+        )
+        cover = (
+            IntervalUnionSpace(ubtree.space.coord_max, 2, ((1, 3), (6, 6), (9, 12)))
+            if pushdown
+            else None
+        )
+        with kernels.use_backend(backend):
+            scan = scan_cls(
+                ubtree, space, 1, descending=descending, pushdown=cover
+            )
+            stream = []
+            for row in scan:
+                stream.append(row)
+                disk.advance_clock(0.001)  # the consumer's own work
+        return stream, scan.page_access_order, vars(scan.stats), disk.clock
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("restriction", ["box", "triangle"])
+    @pytest.mark.parametrize("pushdown", [False, True])
+    @pytest.mark.parametrize("descending", [False, True])
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_drained_scan_matches_per_row_emission(
+        self, backend, descending, pushdown, restriction, prefetch
+    ):
+        options = dict(
+            descending=descending,
+            pushdown=pushdown,
+            restriction=restriction,
+            prefetch=prefetch,
+        )
+        sliced = self.drained(TetrisScan, backend, **options)
+        per_row = self.drained(PerRowTetrisScan, backend, **options)
+        assert sliced == per_row
+        stream, _, stats, _ = sliced
+        assert stats["slices"] >= 2
+        assert stats["tuples_output"] == len(stream) > 0
+        if pushdown:
+            assert stats["pages_skipped_by_pushdown"] > 0
+
+    def test_close_mid_slice_cancels_the_window(self):
+        ubtree, _ = prefetching_ubtree(self.BITS, devices=4, depth=8)
+        fill(ubtree, 500, seed=32, bits=self.BITS)
+        pool = ubtree.tree.buffer
+        pool.drop_all()
+        scan = tetris_sorted(ubtree, QueryBox.full(ubtree.space.coord_max), 0)
+        stream = iter(scan)
+        pulled = 0
+        # stop inside a slice of several rows, with reads in flight
+        while not (0 < pulled < scan.stats.tuples_output and pool.prefetch_pending):
+            next(stream)
+            pulled += 1
+        stream.close()
+        assert pool.scheduler.inflight_count == 0
+        assert pool.prefetch_pending == frozenset()
+        assert pool.prefetch_issued == pool.prefetch_claimed + pool.prefetch_cancelled
+        assert next(stream, None) is None  # closed streams stay closed
+
+    def test_close_mid_slice_of_a_join_side_cancels_both_windows(self):
+        schema = Schema(
+            [
+                Attribute("a1", IntEncoder(0, 1023)),
+                Attribute("a2", IntEncoder(0, 1023)),
+                Attribute("v", IntEncoder(0, 10**9)),
+            ]
+        )
+        rng = random.Random(33)
+        db = Database(buffer_pages=48, devices=4, prefetch_depth=8)
+        tables = []
+        for name, count in (("left", 700), ("right", 900)):
+            table = db.create_ub_table(name, schema, ("a1", "a2"), 16)
+            table.bulk_load(
+                [(rng.randrange(1024), rng.randrange(1024), i) for i in range(count)]
+            )
+            tables.append(table)
+        db.reset_measurement()
+        left = TetrisOperator(tables[0], {"a2": (0, 700)}, "a1")
+        right = TetrisOperator(tables[1], {"a2": (200, 1023)}, "a1")
+        dual = DualCursorPrefetcher.for_operators(left, right)
+        pulled = [0, 0]
+
+        def counted(rows, side):
+            for row in rows:
+                pulled[side] += 1
+                yield row
+
+        join = iter(
+            MergeJoin(
+                counted(left, 0),
+                counted(right, 1),
+                left_key=lambda r: r[0],
+                right_key=lambda r: r[0],
+                disk=db.disk,
+                prefetch=dual,
+            )
+        )
+        while not (
+            0 < pulled[1] < right.stats.tuples_output and db.buffer.prefetch_pending
+        ):
+            next(join)
+        join.close()
+        assert db.scheduler.inflight_count == 0
+        assert db.buffer.prefetch_pending == frozenset()
+        assert left.scan.external_prefetch is False
+        assert right.scan.external_prefetch is False
