@@ -4,20 +4,15 @@ fault schedules, plus fault-free parity of the FaultyDisk wrapper.
 These are the CI chaos job's payload (run with ``REPRO_CHECKS=1`` on
 both kernel backends): every schedule must end in verified-correct rows
 or a typed failure — :mod:`tools.chaos` raises ``ChaosViolation``
-otherwise — and must replay exactly from its seed.
+otherwise — land on its ``PINNED`` outcome (``conftest.py``), and
+replay exactly from its seed.
 """
 
 import pytest
 
 from repro import kernels
 from repro.storage import FaultPlan, FaultyDisk, SimulatedDisk
-from tools.chaos import (
-    DEFAULT_SEEDS,
-    QUERY,
-    ChaosOutcome,
-    build_world,
-    run_schedule,
-)
+from tools.chaos import QUERY, SWEEPS, build_world, run_schedule
 
 BACKENDS = kernels.available_backends()
 
@@ -83,43 +78,44 @@ class TestFaultFreeParity:
 
 
 # ----------------------------------------------------------------------
-# tentpole: seeded chaos sweep
+# the read sweep, the prefetch identity sweep and the registry
 # ----------------------------------------------------------------------
 class TestChaosSweep:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_SEEDS)
-    def test_schedule_honours_contract(self, seed, backend):
-        """run_schedule raises ChaosViolation on any silent wrong answer;
-        reaching an outcome at all *is* the contract check."""
-        outcome = run_schedule(seed, backend=backend)
-        assert isinstance(outcome, ChaosOutcome)
-        assert outcome.status in ("clean", "degraded", "failed")
-        if outcome.status == "failed":
-            assert outcome.error  # typed failure is always explained
-        if outcome.status == "degraded":
-            assert outcome.degradations
+    @pytest.mark.parametrize("seed", SWEEPS["read"].seeds)
+    def test_schedule_honours_contract(self, seed, backend, graded):
+        graded("read", seed, backend)
 
-    def test_pinned_seeds_cover_all_statuses(self):
+    def test_pinned_seeds_cover_all_statuses(self, pinned):
         """The CI seeds stay a meaningful sweep: all three outcomes occur."""
-        statuses = {
-            run_schedule(seed).status for seed in DEFAULT_SEEDS
-        }
+        statuses = {pinned["read", seed] for seed in SWEEPS["read"].seeds}
         assert statuses == {"clean", "degraded", "failed"}
 
     def test_schedule_replays_exactly(self):
-        first = run_schedule(17)
-        second = run_schedule(17)
-        assert first == second  # includes the full fault_log
+        # includes the full fault_log
+        assert run_schedule("read", 17) == run_schedule("read", 17)
 
-    def test_outcomes_identical_across_backends(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one kernel backend available")
-        for seed in DEFAULT_SEEDS:
-            outcomes = [
-                run_schedule(seed, backend=backend) for backend in BACKENDS
-            ]
-            reference = outcomes[0]
-            for outcome in outcomes[1:]:
-                assert outcome.status == reference.status
-                assert outcome.rows == reference.rows
-                assert outcome.fault_log == reference.fault_log
+    def test_outcomes_identical_across_backends(self, same_on_every_backend):
+        same_on_every_backend("read")
+
+
+class TestPrefetchSweep:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", SWEEPS["prefetch"].seeds)
+    def test_worlds_degrade_identically(self, seed, backend, graded):
+        """A corrupt page hurts a prefetched read exactly as much as a
+        demand read (the schedule itself checks trail and row identity),
+        and the pair replays exactly."""
+        demand, armed = graded("prefetch", seed, backend)
+        assert demand.rows == armed.rows > 0
+        assert demand.fault_log == armed.fault_log
+        assert run_schedule("prefetch", seed, backend=backend) == (demand, armed)
+
+
+class TestRegistry:
+    def test_pinned_table_covers_every_sweep(self, pinned):
+        """One graded outcome per registered (sweep, seed), no strays."""
+        assert set(pinned) == {
+            (name, seed) for name, sweep in SWEEPS.items() for seed in sweep.seeds
+        }
+        assert set(SWEEPS) == {"read", "prefetch", "write", "shard", "join", "txn"}

@@ -1,5 +1,5 @@
 """Crash-schedule explorer tests (``tools.crashgrid``) and the 2PC
-chaos sweep (``tools.chaos --txn``).
+chaos sweep (``tools.chaos --sweep txn``).
 
 The explorer itself raises :class:`~tools.crashgrid.CrashGridViolation`
 on any breach of the all-or-nothing contract — a crash point that never
@@ -13,7 +13,7 @@ backend and pin the structural claims on top.
 import pytest
 
 from repro import kernels
-from tools.chaos import DEFAULT_TXN_SEEDS, run_txn_schedule
+from tools.chaos import SWEEPS, run_schedule
 from tools.crashgrid import (
     WORKLOADS,
     measure_commit_overhead,
@@ -75,22 +75,20 @@ class TestCrashGrid:
 
 class TestTxnChaosSweep:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_TXN_SEEDS)
-    def test_schedule_converges(self, seed, backend):
+    @pytest.mark.parametrize("seed", SWEEPS["txn"].seeds)
+    def test_schedule_converges(self, seed, backend, graded):
         """Every pinned seed must inject real log faults, crash, and
         recover onto a decision-log-consistent state (verified inside
         the run)."""
-        outcome = run_txn_schedule(seed, backend=backend)
-        assert outcome.status in ("clean", "recovered")
-        assert outcome.faults_injected > 0, "seed stopped injecting"
+        graded("txn", seed, backend)
 
     def test_pinned_seeds_cover_all_verdict_paths(self):
         """Seed 23 presumes abort, 6 re-acks a completed commit, 85
         drives in-doubt participants forward — together the sweep walks
         every recovery verdict path."""
         outcomes = {
-            seed: run_txn_schedule(seed, backend=BACKENDS[0])
-            for seed in DEFAULT_TXN_SEEDS
+            seed: run_schedule("txn", seed, backend=BACKENDS[0])[0]
+            for seed in SWEEPS["txn"].seeds
         }
         assert all(o.status == "recovered" for o in outcomes.values())
         # seed 85's crash lands on a shard WAL's own commit record:

@@ -1,9 +1,10 @@
 """Shard-chaos sweep tests: kill/corrupt/slow one shard copy mid-scan.
 
 The CI shard job's payload: every pinned seed must land on its graded
-outcome — bit-identical rows across failover and cross-copy repair,
-typed :class:`~repro.shard.ShardFailedError` or a flagged partial when
-no replica is left — and :mod:`tools.chaos` raises ``ChaosViolation``
+outcome (``PINNED`` in ``conftest.py``) — bit-identical rows across
+failover and cross-copy repair, typed
+:class:`~repro.shard.ShardFailedError` or a flagged partial when no
+replica is left — and :mod:`tools.chaos` raises ``ChaosViolation``
 on any silent wrong answer, so reaching an outcome at all *is* the
 contract check.
 """
@@ -11,29 +12,14 @@ contract check.
 import pytest
 
 from repro import kernels
-from tools.chaos import (
-    DEFAULT_SHARD_SEEDS,
-    ChaosOutcome,
-    run_shard_schedule,
-    shard_scenario,
-)
+from tools.chaos import SWEEPS, run_schedule, shard_scenario
 
 BACKENDS = kernels.available_backends()
-
-#: the graded outcome each pinned seed must reproduce on every backend
-EXPECTED_STATUS = {
-    2: "failed",  # lone copy killed, no allow_partial -> typed error
-    6: "clean",  # nothing armed
-    7: "clean",  # latency only; must still finish bit-identical
-    10: "degraded",  # kill mid-scan -> failover to the replica copy
-    13: "degraded",  # corruption -> quarantine -> cross-copy repair
-    29: "partial",  # lone copy killed, odd seed opts into allow_partial
-}
 
 
 class TestScenarioGrid:
     def test_pinned_seeds_span_the_grid(self):
-        cells = {shard_scenario(seed) for seed in DEFAULT_SHARD_SEEDS}
+        cells = {shard_scenario(seed) for seed in SWEEPS["shard"].seeds}
         assert ("failover", "kill") in cells
         assert ("failover", "corrupt") in cells
         assert ("failover", "slow") in cells
@@ -47,41 +33,21 @@ class TestScenarioGrid:
 
 class TestShardSweep:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_SHARD_SEEDS)
-    def test_schedule_honours_contract(self, seed, backend):
-        outcome = run_shard_schedule(seed, backend=backend)
-        assert isinstance(outcome, ChaosOutcome)
-        assert outcome.status == EXPECTED_STATUS[seed]
-        if outcome.status == "failed":
-            assert outcome.error  # typed failure is always explained
-            assert outcome.degradations
-        if outcome.status in ("degraded", "partial"):
-            assert outcome.degradations
+    @pytest.mark.parametrize("seed", SWEEPS["shard"].seeds)
+    def test_schedule_honours_contract(self, seed, backend, graded):
+        graded("shard", seed, backend)
 
-    def test_slow_schedule_actually_injected(self):
-        outcome = run_shard_schedule(7)
-        assert outcome.status == "clean"
+    def test_slow_schedule_actually_injected(self, graded):
+        (outcome,) = graded("shard", 7)
         assert outcome.faults_injected > 0  # latency fired, scan survived
 
-    def test_repair_schedule_heals_from_the_peer(self):
-        outcome = run_shard_schedule(13)
-        assert outcome.status == "degraded"
+    def test_repair_schedule_heals_from_the_peer(self, graded):
+        (outcome,) = graded("shard", 13)
         assert outcome.repaired > 0
         assert outcome.lifted > 0
 
     def test_schedule_replays_exactly(self):
-        assert run_shard_schedule(13) == run_shard_schedule(13)
+        assert run_schedule("shard", 13) == run_schedule("shard", 13)
 
-    def test_outcomes_identical_across_backends(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one kernel backend available")
-        for seed in DEFAULT_SHARD_SEEDS:
-            outcomes = [
-                run_shard_schedule(seed, backend=backend)
-                for backend in BACKENDS
-            ]
-            reference = outcomes[0]
-            for outcome in outcomes[1:]:
-                assert outcome.status == reference.status
-                assert outcome.rows == reference.rows
-                assert outcome.degradations == reference.degradations
+    def test_outcomes_identical_across_backends(self, same_on_every_backend):
+        same_on_every_backend("shard")

@@ -2,9 +2,9 @@
 and inserts, redo recovery, the simulated-crash rollback leg, and the
 pinned degraded -> clean replica-repair seed.
 
-These back the CI chaos job's ``python -m tools.chaos --write`` and
+These back the CI chaos job's ``python -m tools.chaos --sweep write`` and
 ``--replicas 2`` steps (run with ``REPRO_CHECKS=1`` on both kernel
-backends).  :func:`tools.chaos.run_write_schedule` already raises
+backends).  The write sweep's schedule already raises
 ``ChaosViolation`` on any divergence from the fault-free oracle, so
 reaching an outcome at all *is* the contract check.
 """
@@ -12,59 +12,39 @@ reaching an outcome at all *is* the contract check.
 import pytest
 
 from repro import kernels
-from tools.chaos import (
-    DEFAULT_WRITE_SEEDS,
-    ChaosOutcome,
-    run_schedule,
-    run_write_schedule,
-)
+from tools.chaos import SWEEPS, run_schedule
 
 BACKENDS = kernels.available_backends()
 
 
 class TestWriteSweep:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("seed", DEFAULT_WRITE_SEEDS)
-    def test_schedule_recovers_bit_identically(self, seed, backend):
+    @pytest.mark.parametrize("seed", SWEEPS["write"].seeds)
+    def test_schedule_recovers_bit_identically(self, seed, backend, graded):
         """Every pinned write seed must tear at least one page and end
         bit-identical to a fault-free load (verified inside the run)."""
-        outcome = run_write_schedule(seed, backend=backend)
-        assert isinstance(outcome, ChaosOutcome)
-        assert outcome.status == "recovered"  # the pinned seeds all tear
-        assert outcome.faults_injected > 0
+        (outcome,) = graded("write", seed, backend)
         assert outcome.healed > 0  # redo did real work
         assert any(kind == "torn" for _, kind, _, _ in outcome.fault_log)
 
     def test_schedule_replays_exactly(self):
-        first = run_write_schedule(DEFAULT_WRITE_SEEDS[0])
-        second = run_write_schedule(DEFAULT_WRITE_SEEDS[0])
-        assert first == second  # includes the full fault_log
+        # includes the full fault_log
+        assert run_schedule("write", 7) == run_schedule("write", 7)
 
-    def test_outcomes_identical_across_backends(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one kernel backend available")
-        for seed in DEFAULT_WRITE_SEEDS:
-            outcomes = [
-                run_write_schedule(seed, backend=backend) for backend in BACKENDS
-            ]
-            reference = outcomes[0]
-            for outcome in outcomes[1:]:
-                assert outcome.status == reference.status
-                assert outcome.rows == reference.rows
-                assert outcome.healed == reference.healed
-                assert outcome.fault_log == reference.fault_log
+    def test_outcomes_identical_across_backends(self, same_on_every_backend):
+        same_on_every_backend("write")
 
 
 class TestReplicaRepairSeed:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pinned_degraded_seed_turns_clean_with_replicas(self, backend):
+    def test_pinned_degraded_seed_turns_clean_with_replicas(self, backend, graded):
         """The acceptance pin: seed 17 — "degraded" on the plain sweep —
         classifies "clean" on a replicated world, because the corrupt
         page is repaired in place and the planner keeps the full
         design."""
-        plain = run_schedule(17, backend=backend)
+        (plain,) = graded("read", 17, backend)
         assert plain.status == "degraded"
-        repaired = run_schedule(17, backend=backend, replicas=2)
+        (repaired,) = run_schedule("read", 17, backend=backend, replicas=2)
         assert repaired.status == "clean"
         assert repaired.repaired >= 1
         assert repaired.degradations == ()

@@ -1,73 +1,66 @@
 """``chaos``: seeded fault-schedule sweeps over the full query stack.
 
-The harness builds a multi-instance physical design (heap + two IOTs +
-UB-Tree over the same rows), runs a Q6-style sort+restriction query
-through :func:`repro.planner.execute_sorted_query` under a seeded
-:class:`~repro.storage.faults.FaultPlan`, and holds the engine to its
-resilience contract:
+Every sweep follows one protocol: build a world, arm a seeded fault
+schedule, run one route through it, and grade the result against a
+fault-free oracle.  The engine is held to its resilience contract:
 
 * a run that completes must return *exactly* the correct answer —
-  the right multiset of rows, in an order the PR-2
+  the right multiset of rows, in an order the
   :class:`~repro.invariants.StreamChecker` accepts (monotone in the
   sort key, every row inside the query space), and bit-identical to the
   fault-free run when no degradation happened;
 * a run that cannot complete must fail with a typed
   :class:`~repro.storage.errors.StorageError` (usually
   :class:`~repro.planner.PlanExhaustedError` carrying the degradation
-  trail);
+  trail) or, on the sharded routes, end in an explicitly flagged partial
+  result whose ``failed_ranges`` account for every missing row;
 * the same seed must replay the same outcome, fault-for-fault.
 
 Anything else — a wrong row, a truncated stream, an untyped crash — is a
 :class:`ChaosViolation`: the silent-garbage class of bug this harness
 exists to catch.
 
-Three extensions ride on the same machinery:
+Six sweeps are registered in :data:`SWEEPS`:
 
-* ``--replicas k`` rebuilds the faulty world on a k-way
-  :class:`~repro.storage.replica.ReplicatedDisk`, so checksum failures
-  repair in place instead of degrading the plan (seed 17's pinned
-  "degraded" outcome turns "clean");
-* ``--write`` switches to the write sweep
-  (:func:`run_write_schedule`): torn-write faults during WAL-journaled
-  ``bulk_load``/``insert`` batches, verified bit-identical to a
-  fault-free load after redo recovery, plus a simulated-crash leg that
-  must roll back cleanly;
-* ``--prefetch`` switches to the prefetch identity sweep
-  (:func:`run_prefetch_schedule`): the same scripted corrupt fault is
-  replayed once against a demand-only world and once against a world
-  with the multi-queue scheduler and sweep-ahead prefetcher armed, and
-  the two runs must degrade *identically* — same status, same
-  structural degradation trail, bit-identical rows, same fault log.
-  A corrupt page must hurt exactly as much whether the engine read it
-  on demand or speculatively ahead of the sweep plane.
-* ``--shards K`` switches to the shard sweep
-  (:func:`run_shard_schedule`): the harness query runs against a K-way
-  range-sharded :class:`~repro.shard.ShardedDatabase` while one shard
-  copy is killed, corrupted, or slowed mid-scan.  With replica copies
-  the merged stream must stay bit-identical to the unsharded fault-free
-  oracle across failover and cross-copy repair; without them the run
-  must end in a typed :class:`~repro.shard.ShardFailedError` or an
-  explicitly flagged partial result whose ``failed_ranges`` account for
-  every missing row.
-* ``--join`` switches to the join sweep (:func:`run_join_schedule`): a
-  co-partitioned merge join (:class:`~repro.shard.CoPartitionedJoin`,
-  inner or semi depending on the seed) runs while one probe-side shard
-  copy is killed, corrupted, or slowed mid-join.  The concatenated
-  output must stay bit-identical to the serial merge join of the two
-  serial sorted streams, or end in a typed error / flagged partial
-  whose ``failed_ranges`` account for every missing output row.
+* ``read`` — a Q6-style sort+restriction query through
+  :func:`repro.planner.execute_sorted_query` on a multi-instance design
+  (heap + two IOTs + UB-Tree over the same rows) under
+  :func:`chaos_plan`.  ``replicas=k`` rebuilds the faulty world on a
+  k-way :class:`~repro.storage.replica.ReplicatedDisk`, so checksum
+  failures repair in place instead of degrading the plan (seed 17's
+  pinned "degraded" outcome turns "clean");
+* ``prefetch`` — one scripted corrupt fault replayed on a demand-only
+  world and on a world with the multi-queue scheduler and sweep-ahead
+  prefetcher armed.  The two runs must degrade *identically*: same
+  status, same structural degradation trail, bit-identical rows, same
+  fault log;
+* ``write`` — torn writes during WAL-journaled ``bulk_load``/``insert``
+  batches, verified bit-identical to a fault-free load after redo
+  recovery, plus a simulated-crash leg that must roll back cleanly;
+* ``shard`` — the read sweep's query against a range-sharded
+  :class:`~repro.shard.ShardedDatabase` while one shard copy is killed,
+  corrupted or slowed mid-scan (:func:`shard_scenario`), graded against
+  the unsharded fault-free stream;
+* ``join`` — the same grid applied to a co-partitioned merge join
+  (:class:`~repro.shard.CoPartitionedJoin`, kind from :func:`join_kind`)
+  with the fault on a probe-side copy, graded against the serial merge
+  join of the two serial sorted streams;
+* ``txn`` — 2PC atomic writes under torn/transient faults on every log
+  device, then a seeded crash mid-protocol followed by decision-log
+  recovery.
 
-Usage: ``python -m tools.chaos --seeds 11 17 23`` (add ``--backend
-python`` to force a kernel backend; default sweeps whatever is
-available).  ``--replay SEED`` re-runs one schedule and prints its full
-fault log and degradation/repair trail as JSON.
+Usage: ``python -m tools.chaos --sweep shard --seeds 2 13`` (default
+sweep ``read`` over its pinned seeds; add ``--backend python`` to force
+a kernel backend).  ``--replay SEED`` re-runs one schedule and prints
+its full fault log and degradation/repair trail as JSON.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 from repro import kernels
 from repro.costmodel import CostParameters
@@ -80,14 +73,7 @@ from repro.planner import (
 )
 from repro.relational import Attribute, Database, IntEncoder, Schema
 from repro.relational.operators import MergeJoin, MergeSemiJoin
-from repro.shard import (
-    CoPartitionedJoin,
-    ShardedDatabase,
-    ShardedJoinResult,
-    ShardedScanResult,
-    ShardFailedError,
-)
-from repro.txn import TransactionCoordinator
+from repro.shard import CoPartitionedJoin, ShardedDatabase, ShardFailedError
 from repro.storage import (
     FaultPlan,
     FaultyDisk,
@@ -95,60 +81,29 @@ from repro.storage import (
     StorageError,
 )
 from repro.storage.faults import CORRUPT
+from repro.txn import TransactionCoordinator
 
 __all__ = [
+    "QUERY",
+    "SHARD_DIMS",
+    "SWEEPS",
     "ChaosOutcome",
     "ChaosViolation",
-    "DEFAULT_JOIN_SEEDS",
-    "DEFAULT_PREFETCH_SEEDS",
-    "DEFAULT_SEEDS",
-    "DEFAULT_SHARD_SEEDS",
-    "DEFAULT_TXN_SEEDS",
-    "DEFAULT_WRITE_SEEDS",
-    "QUERY",
-    "build_join_world",
-    "build_shard_world",
+    "Sweep",
     "build_txn_world",
     "build_world",
     "build_write_world",
+    "chaos_data",
     "chaos_plan",
-    "join_scenario",
-    "run_join_schedule",
-    "run_join_suite",
-    "run_prefetch_schedule",
-    "run_prefetch_suite",
+    "chaos_schema",
+    "join_kind",
     "run_schedule",
-    "run_shard_schedule",
-    "run_shard_suite",
     "run_suite",
-    "run_txn_schedule",
-    "run_txn_suite",
-    "run_write_schedule",
-    "run_write_suite",
     "shard_scenario",
+    "sharded_fingerprint",
     "txn_plan",
     "write_plan",
 ]
-
-#: the CI sweep's pinned seeds (chosen to cover clean, degraded and
-#: failed outcomes on both kernel backends)
-DEFAULT_SEEDS: tuple[int, ...] = (17, 23, 33)
-
-#: the shard sweep's pinned seeds (each lands on a different cell of the
-#: :func:`shard_scenario` grid, so the default sweep covers a clean
-#: sharded run, a latency-only run, failover by kill, cross-copy repair
-#: after corruption, a typed failure and a flagged-partial result on
-#: both kernel backends)
-DEFAULT_SHARD_SEEDS: tuple[int, ...] = (2, 6, 7, 10, 13, 29)
-
-#: the write sweep's pinned seeds (chosen so every schedule tears at
-#: least one page mid-``bulk_load`` on both kernel backends, forcing the
-#: WAL's redo path to do real work)
-DEFAULT_WRITE_SEEDS: tuple[int, ...] = (7, 19, 41)
-
-#: the prefetch identity sweep's pinned seeds (each picks a different
-#: victim page inside the sweep-ahead window)
-DEFAULT_PREFETCH_SEEDS: tuple[int, ...] = (3, 12, 29)
 
 #: the harness's fixed Q6-style query: restriction on one UB dimension,
 #: sort on the other
@@ -156,6 +111,12 @@ QUERY: dict[str, Any] = {
     "restrictions": {"a1": (100, 900)},
     "sort_attr": "a2",
 }
+
+#: cost parameters of every planner run in the harness
+_PARAMS = CostParameters(memory_pages=8)
+
+#: UB dimensions of the sharded worlds (range-sharded on ``a1``)
+SHARD_DIMS: tuple[str, str] = ("a1", "a2")
 
 
 class ChaosViolation(AssertionError):
@@ -179,7 +140,8 @@ class ChaosOutcome:
     repaired: int = 0
     #: quarantine entries lifted after a successful repair
     lifted: int = 0
-    #: pages healed by WAL redo during recovery (write schedules)
+    #: pages healed by WAL redo (write sweep) or in-doubt transactions
+    #: resolved by decision-log recovery (txn sweep)
     healed: int = 0
     #: replayable injection log (op, kind, page_id, access)
     fault_log: tuple[tuple[str, str, int, int], ...] = field(repr=False, default=())
@@ -200,8 +162,54 @@ class ChaosOutcome:
         return base
 
 
+def _outcome(
+    seed: int,
+    status: str,
+    source: "FaultyDisk | dict[str, int]",
+    *,
+    rows: int = 0,
+    events: Iterable[Any] = (),
+    error: str | None = None,
+    healed: int = 0,
+) -> ChaosOutcome:
+    """Assemble one graded outcome in the active kernel backend.
+
+    ``source`` supplies the fault counters: a faulty disk (its
+    :class:`~repro.storage.stats.FaultStats` plus its replayable fault
+    log) or a :meth:`~repro.shard.ShardedDatabase.fault_totals` dict,
+    whose missing keys count as zero.
+    """
+    if isinstance(source, dict):
+        counts, fault_log = source, ()
+    else:
+        faults = source.stats.faults
+        counts = {
+            "injected": faults.total_injected,
+            "retries": faults.retries,
+            "quarantined": faults.quarantined_pages,
+            "repaired": faults.repaired_pages,
+            "lifted": faults.quarantine_lifted,
+        }
+        fault_log = tuple(source.fault_log)
+    return ChaosOutcome(
+        seed=seed,
+        backend=kernels.get_backend().name,
+        status=status,
+        rows=rows,
+        faults_injected=counts.get("injected", 0),
+        retries=counts.get("retries", 0),
+        quarantined=counts.get("quarantined", 0),
+        degradations=tuple(event.describe() for event in events),
+        error=error,
+        repaired=counts.get("repaired", 0),
+        lifted=counts.get("lifted", 0),
+        healed=healed,
+        fault_log=fault_log,
+    )
+
+
 def chaos_plan(seed: int) -> FaultPlan:
-    """The sweep's fault mix for one seed.
+    """The read sweep's fault mix for one seed.
 
     Rates are deliberately harsh relative to real hardware so that a
     three-seed CI sweep still exercises retries, quarantine and plan
@@ -217,7 +225,8 @@ def chaos_plan(seed: int) -> FaultPlan:
     )
 
 
-def _chaos_schema() -> Schema:
+def chaos_schema() -> Schema:
+    """The schema every chaos (and crash-grid) world stores."""
     return Schema(
         [
             Attribute("a1", IntEncoder(0, 1023)),
@@ -227,11 +236,31 @@ def _chaos_schema() -> Schema:
     )
 
 
-def _chaos_data(rows: int, data_seed: int) -> list[tuple]:
+def chaos_data(rows: int, data_seed: int) -> list[tuple]:
+    """``rows`` seeded uniform points of :func:`chaos_schema`."""
     rng = random.Random(data_seed)
     return [(rng.randrange(1024), rng.randrange(1024), i) for i in range(rows)]
 
 
+def _oracle_rows(data: "list[tuple]") -> list:
+    """Ground truth for :data:`QUERY` computed directly from the dataset."""
+    positions = {"a1": 0, "a2": 1, "v": 2}
+    survivors = []
+    for row in data:
+        keep = True
+        for attr, (lo, hi) in QUERY["restrictions"].items():
+            value = row[positions[attr]]
+            if (lo is not None and value < lo) or (hi is not None and value > hi):
+                keep = False
+                break
+        if keep:
+            survivors.append(row)
+    return sorted(survivors, key=lambda row: row[positions[QUERY["sort_attr"]]])
+
+
+# ----------------------------------------------------------------------
+# read + prefetch sweeps: one faulty single-database query run
+# ----------------------------------------------------------------------
 def build_world(
     fault_plan: "FaultPlan | None" = None,
     *,
@@ -252,10 +281,10 @@ def build_world(
     the query can be repaired in place instead of quarantined.
     ``devices``/``prefetch_depth`` arm the multi-queue
     :class:`~repro.storage.scheduler.IOScheduler` and sweep-ahead
-    prefetcher (used by the ``--prefetch`` identity sweep).
+    prefetcher (used by the prefetch identity sweep).
     """
-    schema = _chaos_schema()
-    data = _chaos_data(rows, data_seed)
+    schema = chaos_schema()
+    data = chaos_data(rows, data_seed)
     db = Database(
         buffer_pages=buffer_pages,
         fault_plan=fault_plan,
@@ -282,20 +311,18 @@ def build_world(
     return db, design, data
 
 
-def _oracle_rows(data: "list[tuple]", restrictions: dict, sort_attr: str) -> list:
-    """Ground truth computed directly from the in-memory dataset."""
-    positions = {"a1": 0, "a2": 1, "v": 2}
-    survivors = []
-    for row in data:
-        keep = True
-        for attr, (lo, hi) in restrictions.items():
-            value = row[positions[attr]]
-            if (lo is not None and value < lo) or (hi is not None and value > hi):
-                keep = False
-                break
-        if keep:
-            survivors.append(row)
-    return sorted(survivors, key=lambda row: row[positions[sort_attr]])
+def _fault_free_baseline() -> tuple[PhysicalDesign, list[tuple], list[tuple]]:
+    """The clean design, the exact stream it produces, and the oracle."""
+    _, design, data = build_world()
+    baseline = execute_sorted_query(
+        design, QUERY["restrictions"], QUERY["sort_attr"], _PARAMS
+    )
+    oracle = _oracle_rows(data)
+    if sorted(baseline.rows) != sorted(oracle) or baseline.degraded:
+        raise ChaosViolation(
+            "fault-free baseline is broken; chaos results are meaningless"
+        )
+    return design, baseline.rows, oracle
 
 
 def _verify_result(
@@ -319,8 +346,8 @@ def _verify_result(
             f"seed {seed}: non-degraded run is not bit-identical to the "
             "fault-free run"
         )
-    # order + membership via the PR-2 stream contract: encode each output
-    # row into the UB space and replay it through the StreamChecker
+    # order + membership via the stream contract: encode each output row
+    # into the UB space and replay it through the StreamChecker
     ub = design.ub
     if ub is not None:
         space = ub.build_query_box(QUERY["restrictions"])
@@ -331,115 +358,9 @@ def _verify_result(
             checker.observe(ub.point_of(row))
 
 
-def run_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 1200,
-    params: "CostParameters | None" = None,
-    replicas: int = 0,
-) -> ChaosOutcome:
-    """Run the harness query under one seeded schedule and verify it."""
-    backend_name = backend or kernels.get_backend().name
-    params = params or CostParameters(memory_pages=8)
-
-    with kernels.use_backend(backend_name):
-        # fault-free baseline: the exact stream a clean run produces
-        _, clean_design, data = build_world(rows=rows)
-        baseline = execute_sorted_query(
-            clean_design, QUERY["restrictions"], QUERY["sort_attr"], params
-        )
-        oracle = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
-        if sorted(baseline.rows) != sorted(oracle) or baseline.degraded:
-            raise ChaosViolation(
-                "fault-free baseline is broken; chaos results are meaningless"
-            )
-
-        db, design, _ = build_world(chaos_plan(seed), rows=rows, replicas=replicas)
-        disk = db.disk
-        if not isinstance(disk, FaultyDisk):  # pragma: no cover - guarded above
-            raise RuntimeError("chaos world lost its FaultyDisk")
-        db.arm_faults()
-        try:
-            result = execute_sorted_query(
-                design, QUERY["restrictions"], QUERY["sort_attr"], params
-            )
-        except PlanExhaustedError as exc:
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=disk.stats.faults.total_injected,
-                retries=disk.stats.faults.retries,
-                quarantined=disk.stats.faults.quarantined_pages,
-                degradations=tuple(e.describe() for e in exc.degradations),
-                error=str(exc),
-                repaired=disk.stats.faults.repaired_pages,
-                lifted=disk.stats.faults.quarantine_lifted,
-                fault_log=tuple(disk.fault_log),
-            )
-        except StorageError as exc:
-            # typed, but the executor should have wrapped it — still within
-            # contract for the caller, so report it as a failure outcome
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=disk.stats.faults.total_injected,
-                retries=disk.stats.faults.retries,
-                quarantined=disk.stats.faults.quarantined_pages,
-                error=f"{type(exc).__name__}: {exc}",
-                repaired=disk.stats.faults.repaired_pages,
-                lifted=disk.stats.faults.quarantine_lifted,
-                fault_log=tuple(disk.fault_log),
-            )
-        finally:
-            db.disarm_faults()
-
-        _verify_result(result, baseline.rows, oracle, design, seed)
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="degraded" if result.degraded else "clean",
-            rows=len(result.rows),
-            faults_injected=disk.stats.faults.total_injected,
-            retries=disk.stats.faults.retries,
-            quarantined=disk.stats.faults.quarantined_pages,
-            degradations=tuple(e.describe() for e in result.degradations),
-            repaired=disk.stats.faults.repaired_pages,
-            lifted=disk.stats.faults.quarantine_lifted,
-            fault_log=tuple(disk.fault_log),
-        )
-
-
-def run_suite(
-    seeds: Iterable[int] = DEFAULT_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 1200,
-    replicas: int = 0,
-) -> list[ChaosOutcome]:
-    """Sweep ``seeds`` across ``backends`` (default: all available)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(
-                run_schedule(seed, backend=name, rows=rows, replicas=replicas)
-            )
-    return outcomes
-
-
-# ----------------------------------------------------------------------
-# prefetch identity sweep: corrupt prefetched == corrupt demand-fetched
-# ----------------------------------------------------------------------
-
-
 @dataclass
-class _ScriptedRun:
-    """One scripted-fault run plus the structure the identity check needs."""
+class _Run:
+    """One faulty-world query run plus what the prefetch identity needs."""
 
     outcome: ChaosOutcome
     rows: "list[tuple] | None"  #: completed output, or None on failure
@@ -451,81 +372,67 @@ class _ScriptedRun:
     prefetch_issued: int
 
 
-def _run_scripted(
+def _run_faulty(
     plan: FaultPlan,
     seed: int,
-    backend_name: str,
-    rows: int,
-    params: CostParameters,
     baseline_rows: "list[tuple]",
     oracle: "list[tuple]",
-    *,
-    devices: int,
-    prefetch_depth: int,
-) -> _ScriptedRun:
-    """One faulty-world run of the harness query under a scripted plan."""
-    db, design, _ = build_world(
-        plan, rows=rows, devices=devices, prefetch_depth=prefetch_depth
-    )
+    **world: int,
+) -> _Run:
+    """Arm ``plan`` on a fresh world, run the harness query, grade it."""
+    db, design, _ = build_world(plan, **world)
     disk = db.disk
-    if not isinstance(disk, FaultyDisk):  # pragma: no cover - guarded above
+    if not isinstance(disk, FaultyDisk):  # pragma: no cover - build_world arms it
         raise RuntimeError("chaos world lost its FaultyDisk")
+    result: QueryResult | None = None
+    events: Sequence[Any] = ()
+    error = None
     db.arm_faults()
     try:
         result = execute_sorted_query(
-            design, QUERY["restrictions"], QUERY["sort_attr"], params
+            design, QUERY["restrictions"], QUERY["sort_attr"], _PARAMS
         )
     except PlanExhaustedError as exc:
-        outcome = ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="failed",
-            rows=0,
-            faults_injected=disk.stats.faults.total_injected,
-            retries=disk.stats.faults.retries,
-            quarantined=disk.stats.faults.quarantined_pages,
-            degradations=tuple(e.describe() for e in exc.degradations),
-            error=str(exc),
-            fault_log=tuple(disk.fault_log),
-        )
-        trail = tuple(
-            (e.method, e.instance, e.error_type, e.fallback_method, e.fallback_instance)
-            for e in exc.degradations
-        )
-        return _ScriptedRun(
-            outcome, None, trail, disk.stats.prefetch.prefetch_issued
-        )
+        events, error = exc.degradations, str(exc)
+    except StorageError as exc:
+        # typed, but the executor should have wrapped it — still within
+        # contract for the caller, so report it as a failure outcome
+        error = f"{type(exc).__name__}: {exc}"
     finally:
         db.disarm_faults()
 
-    _verify_result(result, baseline_rows, oracle, design, seed)
-    outcome = ChaosOutcome(
-        seed=seed,
-        backend=backend_name,
-        status="degraded" if result.degraded else "clean",
-        rows=len(result.rows),
-        faults_injected=disk.stats.faults.total_injected,
-        retries=disk.stats.faults.retries,
-        quarantined=disk.stats.faults.quarantined_pages,
-        degradations=tuple(e.describe() for e in result.degradations),
-        fault_log=tuple(disk.fault_log),
-    )
+    if result is None:
+        outcome = _outcome(seed, "failed", disk, events=events, error=error)
+    else:
+        _verify_result(result, baseline_rows, oracle, design, seed)
+        events = result.degradations
+        outcome = _outcome(
+            seed,
+            "degraded" if result.degraded else "clean",
+            disk,
+            rows=len(result.rows),
+            events=events,
+        )
     trail = tuple(
         (e.method, e.instance, e.error_type, e.fallback_method, e.fallback_instance)
-        for e in result.degradations
+        for e in events
     )
-    return _ScriptedRun(
-        outcome, result.rows, trail, disk.stats.prefetch.prefetch_issued
+    return _Run(
+        outcome,
+        None if result is None else result.rows,
+        trail,
+        disk.stats.prefetch.prefetch_issued,
     )
 
 
-def run_prefetch_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 1200,
-    params: "CostParameters | None" = None,
-) -> tuple[ChaosOutcome, ChaosOutcome]:
+def _read_schedule(seed: int, replicas: int) -> tuple[ChaosOutcome]:
+    """Run the harness query under :func:`chaos_plan` and verify it."""
+    _, baseline, oracle = _fault_free_baseline()
+    run = _run_faulty(chaos_plan(seed), seed, baseline, oracle, replicas=replicas)
+    return (run.outcome,)
+
+
+def _prefetch_schedule(seed: int, _replicas: int) -> tuple[ChaosOutcome, ChaosOutcome]:
     """Prove a corrupt prefetched page degrades like a demand-fetched one.
 
     The seed picks a victim heap page inside the sweep-ahead window (so
@@ -542,100 +449,63 @@ def run_prefetch_schedule(
     Returns the ``(demand, prefetch)`` outcome pair after all identity
     checks pass; any divergence raises :class:`ChaosViolation`.
     """
-    backend_name = backend or kernels.get_backend().name
-    params = params or CostParameters(memory_pages=8)
-
-    with kernels.use_backend(backend_name):
-        _, clean_design, data = build_world(rows=rows)
-        baseline = execute_sorted_query(
-            clean_design, QUERY["restrictions"], QUERY["sort_attr"], params
+    design, baseline, oracle = _fault_free_baseline()
+    page_ids = design.heap.heap.page_ids  # type: ignore[union-attr]
+    if len(page_ids) < 2:
+        raise ChaosViolation(
+            "prefetch sweep needs a multi-page heap to pick a victim "
+            "inside the sweep-ahead window"
         )
-        oracle = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
-        if sorted(baseline.rows) != sorted(oracle) or baseline.degraded:
-            raise ChaosViolation(
-                "fault-free baseline is broken; chaos results are meaningless"
-            )
-        if clean_design.heap is None:  # pragma: no cover - build_world makes one
-            raise RuntimeError("prefetch sweep needs the heap instance")
-        page_ids = clean_design.heap.heap.page_ids
-        if len(page_ids) < 2:
-            raise ChaosViolation(
-                "prefetch sweep needs a multi-page heap to pick a victim "
-                "inside the sweep-ahead window"
-            )
-        # a page the scan reaches only after its first prefetch top-up:
-        # positions 1..8 are submitted asynchronously while page 0 is
-        # still being consumed, so the fault provably hits a *prefetched*
-        # read in the scheduler world
-        victim = page_ids[1 + seed % min(8, len(page_ids) - 1)]
-        plan = FaultPlan(seed=seed, scripted_reads=((victim, 0, CORRUPT),))
-
-        demand = _run_scripted(
-            plan, seed, backend_name, rows, params, baseline.rows, oracle,
-            devices=1, prefetch_depth=0,
-        )
-        prefetch = _run_scripted(
-            plan, seed, backend_name, rows, params, baseline.rows, oracle,
-            devices=4, prefetch_depth=8,
-        )
+    # a page the scan reaches only after its first prefetch top-up:
+    # positions 1..8 are submitted asynchronously while page 0 is
+    # still being consumed, so the fault provably hits a *prefetched*
+    # read in the scheduler world
+    victim = page_ids[1 + seed % min(8, len(page_ids) - 1)]
+    plan = FaultPlan(seed=seed, scripted_reads=((victim, 0, CORRUPT),))
+    demand = _run_faulty(plan, seed, baseline, oracle, devices=1, prefetch_depth=0)
+    armed = _run_faulty(plan, seed, baseline, oracle, devices=4, prefetch_depth=8)
 
     if demand.prefetch_issued != 0:
         raise ChaosViolation(
             f"seed {seed}: demand world issued prefetches; the comparison "
             "is not demand-vs-prefetch"
         )
-    if prefetch.prefetch_issued == 0:
+    if armed.prefetch_issued == 0:
         raise ChaosViolation(
             f"seed {seed}: prefetch world never prefetched; the identity "
             "check is vacuous"
         )
-    if demand.outcome.faults_injected < 1 or prefetch.outcome.faults_injected < 1:
+    if demand.outcome.faults_injected < 1 or armed.outcome.faults_injected < 1:
         raise ChaosViolation(
             f"seed {seed}: scripted corrupt fault on page {victim} never "
             "fired; the victim page was not read"
         )
-    if demand.outcome.fault_log != prefetch.outcome.fault_log:
+    if demand.outcome.fault_log != armed.outcome.fault_log:
         raise ChaosViolation(
             f"seed {seed}: fault logs diverged between demand and prefetch "
-            f"worlds ({demand.outcome.fault_log} vs "
-            f"{prefetch.outcome.fault_log}); scripted faults must replay "
-            "access-for-access"
+            f"worlds ({demand.outcome.fault_log} vs {armed.outcome.fault_log}); "
+            "scripted faults must replay access-for-access"
         )
-    if demand.outcome.status != prefetch.outcome.status:
+    if demand.outcome.status != armed.outcome.status:
         raise ChaosViolation(
             f"seed {seed}: demand world ended {demand.outcome.status!r} but "
-            f"prefetch world ended {prefetch.outcome.status!r}"
+            f"prefetch world ended {armed.outcome.status!r}"
         )
-    if demand.trail != prefetch.trail:
+    if demand.trail != armed.trail:
         raise ChaosViolation(
             f"seed {seed}: degradation trails diverged "
-            f"({demand.trail} vs {prefetch.trail})"
+            f"({demand.trail} vs {armed.trail})"
         )
-    if demand.rows != prefetch.rows:
+    if demand.rows != armed.rows:
         raise ChaosViolation(
             f"seed {seed}: output rows are not bit-identical between the "
             "demand and prefetch worlds"
         )
-    return demand.outcome, prefetch.outcome
-
-
-def run_prefetch_suite(
-    seeds: Iterable[int] = DEFAULT_PREFETCH_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 1200,
-) -> list[tuple[ChaosOutcome, ChaosOutcome]]:
-    """Sweep the prefetch identity schedules across ``backends``."""
-    names = list(backends) if backends else kernels.available_backends()
-    pairs = []
-    for name in names:
-        for seed in seeds:
-            pairs.append(run_prefetch_schedule(seed, backend=name, rows=rows))
-    return pairs
+    return demand.outcome, armed.outcome
 
 
 # ----------------------------------------------------------------------
-# write-heavy sweep: torn writes during WAL-journaled bulk loads
+# write sweep: torn writes during WAL-journaled bulk loads
 # ----------------------------------------------------------------------
 def write_plan(seed: int) -> FaultPlan:
     """The write sweep's fault mix: torn writes only, at a harsh rate.
@@ -658,7 +528,7 @@ def build_write_world(
     is that ``bulk_load`` itself runs with torn-write faults armed and
     must end bit-identical to a fault-free load after recovery.
     """
-    schema = _chaos_schema()
+    schema = chaos_schema()
     db = Database(
         buffer_pages=buffer_pages,
         fault_plan=fault_plan,
@@ -706,13 +576,7 @@ def _fingerprint(db: Database) -> tuple:
     return tuple(entries)
 
 
-def run_write_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 600,
-    params: "CostParameters | None" = None,
-) -> ChaosOutcome:
+def _write_schedule(seed: int, _replicas: int) -> tuple[ChaosOutcome]:
     """Bulk-load a world under seeded torn writes and verify recovery.
 
     Three legs, all on the same seed:
@@ -729,131 +593,109 @@ def run_write_schedule(
        rollback must leave the disk bit-identical to its pre-load state,
        and recovery on the rolled-back log must change nothing.
     """
-    backend_name = backend or kernels.get_backend().name
-    params = params or CostParameters(memory_pages=8)
+    data = chaos_data(600, data_seed=0)
+    extras = chaos_data(24, data_seed=1)
 
-    with kernels.use_backend(backend_name):
-        data = _chaos_data(rows, data_seed=0)
-        extras = _chaos_data(24, data_seed=1)
+    # fault-free oracle, loaded through the same WAL-journaled paths
+    oracle_db, oracle_design = build_write_world()
+    _load_write_world(oracle_design, data)
+    oracle_fp = _fingerprint(oracle_db)
+    oracle_rows = _oracle_rows(data)
 
-        # fault-free oracle, loaded through the same WAL-journaled paths
-        oracle_db, oracle_design = build_write_world()
-        _load_write_world(oracle_design, data)
-        oracle_fp = _fingerprint(oracle_db)
-        oracle_rows = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
+    # leg 1: torn writes during every bulk_load, then redo recovery
+    db, design = build_write_world(write_plan(seed))
+    disk = db.disk
+    if not isinstance(disk, FaultyDisk):  # pragma: no cover - guarded above
+        raise RuntimeError("write-chaos world lost its FaultyDisk")
+    db.arm_faults()
+    try:
+        _load_write_world(design, data)
+    finally:
+        db.disarm_faults()
+    db.recover()
+    if _fingerprint(db) != oracle_fp:
+        raise ChaosViolation(
+            f"seed {seed}: recovered disk is not bit-identical to a "
+            "fault-free load; WAL redo missed a torn page"
+        )
+    again = db.recover()
+    if again.healed_pages or _fingerprint(db) != oracle_fp:
+        raise ChaosViolation(f"seed {seed}: recovery is not idempotent")
+    # the oracle world runs the same query so that its temp-sort
+    # allocations keep both worlds' page allocators in lock-step —
+    # leg 2's split pages must land at the same physical addresses
+    execute_sorted_query(
+        oracle_design, QUERY["restrictions"], QUERY["sort_attr"], _PARAMS
+    )
+    result = execute_sorted_query(
+        design, QUERY["restrictions"], QUERY["sort_attr"], _PARAMS
+    )
+    if result.rows != oracle_rows or result.degraded:
+        raise ChaosViolation(
+            f"seed {seed}: post-recovery query diverged from the oracle"
+        )
 
-        # leg 1: torn writes during every bulk_load, then redo recovery
-        db, design = build_write_world(write_plan(seed))
-        disk = db.disk
-        if not isinstance(disk, FaultyDisk):  # pragma: no cover - guarded above
-            raise RuntimeError("write-chaos world lost its FaultyDisk")
+    # leg 2: journaled inserts under the same torn-write schedule.
+    # Recovery runs after every insert: the WAL's contract is
+    # crash-consistency at *batch* granularity, and a torn page must
+    # be healed before the next batch builds on top of it (pages are
+    # shared objects, so a torn write damages the live page too).
+    for row in extras:
         db.arm_faults()
         try:
-            _load_write_world(design, data)
+            design.ub.insert(row)  # type: ignore[union-attr]
         finally:
             db.disarm_faults()
         db.recover()
-        if _fingerprint(db) != oracle_fp:
-            raise ChaosViolation(
-                f"seed {seed}: recovered disk is not bit-identical to a "
-                "fault-free load; WAL redo missed a torn page"
-            )
-        again = db.recover()
-        if again.healed_pages or _fingerprint(db) != oracle_fp:
-            raise ChaosViolation(f"seed {seed}: recovery is not idempotent")
-        # the oracle world runs the same query so that its temp-sort
-        # allocations keep both worlds' page allocators in lock-step —
-        # leg 2's split pages must land at the same physical addresses
-        execute_sorted_query(
-            oracle_design, QUERY["restrictions"], QUERY["sort_attr"], params
+    for row in extras:
+        oracle_design.ub.insert(row)  # type: ignore[union-attr]
+    if _fingerprint(db) != _fingerprint(oracle_db):
+        raise ChaosViolation(
+            f"seed {seed}: recovered inserts diverged from fault-free "
+            "inserts; journaled insert left a half-applied split"
         )
-        result = execute_sorted_query(
-            design, QUERY["restrictions"], QUERY["sort_attr"], params
+
+    # leg 3: simulated crash mid-load must roll back to pristine
+    crash_db, crash_design = build_write_world()
+    pre_fp = _fingerprint(crash_db)
+    if crash_db.wal is None:
+        raise ChaosViolation("write world built without an armed WAL")
+    crash_db.wal.crash_after_appends(3 + seed % 11)
+    try:
+        crash_design.heap.bulk_load(data)
+    except SimulatedCrashError:
+        pass
+    else:
+        raise ChaosViolation(
+            f"seed {seed}: crash hook never fired during bulk_load"
         )
-        if result.rows != oracle_rows or result.degraded:
-            raise ChaosViolation(
-                f"seed {seed}: post-recovery query diverged from the oracle"
-            )
+    if _fingerprint(crash_db) != pre_fp:
+        raise ChaosViolation(
+            f"seed {seed}: crashed bulk_load left a half-built heap"
+        )
+    crash_db.recover()
+    if _fingerprint(crash_db) != pre_fp:
+        raise ChaosViolation(
+            f"seed {seed}: recovery disturbed a cleanly rolled-back world"
+        )
 
-        # leg 2: journaled inserts under the same torn-write schedule.
-        # Recovery runs after every insert: the WAL's contract is
-        # crash-consistency at *batch* granularity, and a torn page must
-        # be healed before the next batch builds on top of it (pages are
-        # shared objects, so a torn write damages the live page too).
-        for row in extras:
-            db.arm_faults()
-            try:
-                design.ub.insert(row)  # type: ignore[union-attr]
-            finally:
-                db.disarm_faults()
-            db.recover()
-        for row in extras:
-            oracle_design.ub.insert(row)  # type: ignore[union-attr]
-        if _fingerprint(db) != _fingerprint(oracle_db):
-            raise ChaosViolation(
-                f"seed {seed}: recovered inserts diverged from fault-free "
-                "inserts; journaled insert left a half-applied split"
-            )
-
-        # leg 3: simulated crash mid-load must roll back to pristine
-        crash_db, crash_design = build_write_world()
-        pre_fp = _fingerprint(crash_db)
-        if crash_db.wal is None:
-            raise ChaosViolation("write world built without an armed WAL")
-        crash_db.wal.crash_after_appends(3 + seed % 11)
-        try:
-            crash_design.heap.bulk_load(data)
-        except SimulatedCrashError:
-            pass
-        else:
-            raise ChaosViolation(
-                f"seed {seed}: crash hook never fired during bulk_load"
-            )
-        if _fingerprint(crash_db) != pre_fp:
-            raise ChaosViolation(
-                f"seed {seed}: crashed bulk_load left a half-built heap"
-            )
-        crash_db.recover()
-        if _fingerprint(crash_db) != pre_fp:
-            raise ChaosViolation(
-                f"seed {seed}: recovery disturbed a cleanly rolled-back world"
-            )
-
-        faults = disk.stats.faults
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="recovered" if faults.torn_writes else "clean",
+    faults = disk.stats.faults
+    return (
+        _outcome(
+            seed,
+            "recovered" if faults.torn_writes else "clean",
+            disk,
             rows=len(result.rows),
-            faults_injected=faults.total_injected,
-            retries=faults.retries,
-            quarantined=faults.quarantined_pages,
-            repaired=faults.repaired_pages,
-            lifted=faults.quarantine_lifted,
             healed=faults.wal_redo_pages,
-            fault_log=tuple(disk.fault_log),
-        )
-
-
-def run_write_suite(
-    seeds: Iterable[int] = DEFAULT_WRITE_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 600,
-) -> list[ChaosOutcome]:
-    """Sweep the write schedules across ``backends`` (default: all)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(run_write_schedule(seed, backend=name, rows=rows))
-    return outcomes
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
-# shard sweep: kill/corrupt/slow one shard copy mid-scan
+# shard + join sweeps: kill/corrupt/slow one shard copy mid-route
 # ----------------------------------------------------------------------
-SHARD_DIMS: tuple[str, str] = ("a1", "a2")
+#: shards per sharded chaos world; the victim shard is ``seed % SHARDS``
+SHARDS = 4
 
 
 def shard_scenario(seed: int) -> tuple[str, str]:
@@ -863,110 +705,183 @@ def shard_scenario(seed: int) -> tuple[str, str]:
     armed), ``failover`` (two copies per shard, one of them faulted) or
     ``lone`` (a single copy, so the failure ladder must bottom out in a
     typed error or a flagged partial) — and ``(seed // 3) % 3`` picks
-    the fault: ``kill`` (the copy dies mid-scan), ``corrupt``
+    the fault: ``kill`` (the copy dies mid-run), ``corrupt``
     (persistent checksum damage driving quarantine) or ``slow``
-    (latency injection only; the scan must still finish bit-identical).
+    (latency injection only; the run must still finish bit-identical).
     """
     scenario = ("clean", "failover", "lone")[seed % 3]
     fault = ("kill", "corrupt", "slow")[(seed // 3) % 3]
     return scenario, fault
 
 
-def build_shard_world(
-    seed: int,
-    *,
-    rows: int = 900,
-    shards: int = 4,
-    copies: int = 1,
-    fault: "str | None" = None,
-) -> tuple[ShardedDatabase, "list[tuple]", int]:
-    """A range-sharded world, its dataset, and the faulted shard index.
+def join_kind(seed: int) -> str:
+    """The join sweep's third grid axis on top of :func:`shard_scenario`.
 
-    The victim shard is ``seed % shards`` — always inside the harness
-    query's ``a1`` range, so the armed fault is provably on the scan
-    path.  ``corrupt``/``slow`` plans are armed on the victim's primary
-    copy only; ``kill`` is scheduled separately through
-    :meth:`~repro.shard.ShardedDatabase.kill_copy`.
+    ``(seed // 9) % 2`` alternates between the inner
+    :class:`~repro.relational.operators.MergeJoin` and the
+    :class:`~repro.relational.operators.MergeSemiJoin` of Q4, so the
+    pinned sweep exercises both merge loops' abandon paths.
     """
-    victim = seed % shards
-    plans: "dict[tuple[int, int], FaultPlan] | None" = None
-    if fault == "corrupt":
-        plans = {(victim, 0): FaultPlan(seed=seed, corrupt_rate=0.30)}
-    elif fault == "slow":
-        plans = {
-            (victim, 0): FaultPlan(
-                seed=seed, latency_rate=0.5, latency_seconds=0.020
-            )
-        }
+    return ("inner", "semi")[(seed // 9) % 2]
+
+
+def _sharded(
+    rows: int,
+    data_seed: int,
+    copies: int,
+    plans: "dict[tuple[int, int], FaultPlan] | None" = None,
+) -> tuple[ShardedDatabase, list[tuple]]:
+    """One loaded range-sharded relation on ``a1`` and its dataset."""
     sdb = ShardedDatabase(
-        _chaos_schema(),
+        chaos_schema(),
         SHARD_DIMS,
         "a1",
-        shards=shards,
+        shards=SHARDS,
         copies=copies,
         page_capacity=32,
         quarantine_threshold=2,
         fault_plans=plans,
     )
-    data = _chaos_data(rows, data_seed=0)
+    data = chaos_data(rows, data_seed)
     sdb.load(data)
-    return sdb, data, victim
+    return sdb, data
 
 
-def _shard_oracle(data: "list[tuple]") -> "list[tuple]":
-    """The unsharded fault-free engine's exact keyed stream."""
-    db = Database()
-    table = db.create_ub_table("oracle", _chaos_schema(), SHARD_DIMS, 32)
+def _oracle_stream(
+    data: "list[tuple]", restrictions: "dict | None", sort_attr: str
+) -> list:
+    """The unsharded fault-free engine's exact keyed Tetris stream."""
+    table = Database().create_ub_table("oracle", chaos_schema(), SHARD_DIMS, 32)
     table.bulk_load(data)
-    return list(
-        table.tetris_scan(QUERY["restrictions"], QUERY["sort_attr"])
+    return list(table.tetris_scan(restrictions, sort_attr))
+
+
+#: what a sharded route hands the runner: the faulted relation, the
+#: operation (called with ``allow_partial=``), its oracle output, and the
+#: encoded ``a1`` key of an output row (to check ``failed_ranges``)
+_Route = tuple[ShardedDatabase, Callable[..., Any], list, Callable[[Any], int]]
+
+
+def _scan_route(
+    seed: int, copies: int, plans: "dict[tuple[int, int], FaultPlan] | None"
+) -> _Route:
+    """The harness query as a sorted scan of one sharded relation."""
+    sdb, data = _sharded(900, 0, copies, plans)
+    oracle = _oracle_stream(data, QUERY["restrictions"], QUERY["sort_attr"])
+    if sorted(payload for _, payload in oracle) != sorted(_oracle_rows(data)):
+        raise ChaosViolation(
+            "fault-free oracle is broken; shard-chaos results are meaningless"
+        )
+    run = partial(sdb.sorted_scan, QUERY["restrictions"], QUERY["sort_attr"])
+    return sdb, run, oracle, lambda pair: pair[0][0]
+
+
+def _join_route(
+    seed: int, copies: int, plans: "dict[tuple[int, int], FaultPlan] | None"
+) -> _Route:
+    """A co-partitioned merge join with the fault on the probe side.
+
+    Both sides are range-sharded on the join attribute ``a1`` over the
+    same encoded domain, so every slab pair is join-aligned, and the
+    join runs unrestricted, so the armed fault is always on the join
+    path.  The right (probe) relation is twice the size of the left
+    (duplicate join keys, the usual fact-table shape).
+    """
+    kind = join_kind(seed)
+    left, left_data = _sharded(500, 0, copies)
+    right, right_data = _sharded(1000, 1, copies, plans)
+    join_cls = MergeJoin if kind == "inner" else MergeSemiJoin
+    oracle = list(
+        join_cls(
+            [row for _, row in _oracle_stream(left_data, None, "a1")],
+            [row for _, row in _oracle_stream(right_data, None, "a1")],
+            left_key=lambda row: row[0],
+            right_key=lambda row: row[0],
+        )
     )
+    encode = chaos_schema().attribute("a1").encoder.encode
+    run = CoPartitionedJoin(left, right, kind=kind).run
+    return right, run, oracle, lambda row: encode(row[0])
 
 
-def _verify_shard_result(
-    result: ShardedScanResult,
-    oracle_pairs: "list[tuple]",
-    survivors: "list[tuple]",
-    scenario: str,
-    fault: str,
-    totals: "dict[str, int]",
-    seed: int,
-) -> None:
-    """Hold a completed sharded scan to the bit-identity contract."""
+def _sharded_schedule(
+    route: Callable[..., _Route], seed: int, _replicas: int
+) -> tuple[ChaosOutcome]:
+    """Run one sharded route under the seed's :func:`shard_scenario` cell.
+
+    The victim shard is ``seed % SHARDS``; ``corrupt``/``slow`` plans
+    are armed on its primary copy, ``kill`` is scheduled through
+    :meth:`~repro.shard.ShardedDatabase.kill_copy`.  Grading:
+
+    * a run that completes non-partial must be **bit-identical** to the
+      route's oracle — across failover to a replica copy, cross-copy
+      page repair, and latency injection alike;
+    * a ``lone`` run (no replicas) that loses its copy must end in a
+      typed :class:`~repro.shard.ShardFailedError` or — on odd seeds,
+      which opt into ``allow_partial`` — a result equal to the oracle
+      minus its flagged ``failed_ranges``;
+    * a fault-free run must not degrade, and an armed fault must
+      provably fire;
+    * a wrong row, a silently dropped shard, or an untyped crash is a
+      :class:`ChaosViolation`.
+    """
+    scenario, fault = shard_scenario(seed)
+    armed = None if scenario == "clean" else fault
+    victim = seed % SHARDS
+    plans = None
+    if armed == "corrupt":
+        plans = {(victim, 0): FaultPlan(seed=seed, corrupt_rate=0.30)}
+    elif armed == "slow":
+        plans = {
+            (victim, 0): FaultPlan(seed=seed, latency_rate=0.5, latency_seconds=0.020)
+        }
+    target, run, oracle, key = route(seed, 2 if scenario == "failover" else 1, plans)
+
+    target.arm_faults()
+    if armed == "kill":
+        target.kill_copy(victim, 0, after_rows=12 + seed % 25)
+    try:
+        result = run(allow_partial=scenario == "lone" and bool(seed % 2))
+    except ShardFailedError as exc:
+        return (
+            _outcome(
+                seed,
+                "failed",
+                target.fault_totals(),
+                events=exc.degradations,
+                error=f"shard {exc.shard}: {exc}",
+            ),
+        )
+    finally:
+        target.disarm_faults()
+
+    totals = target.fault_totals()
     if result.partial:
         lost = result.failed_ranges
         expected = [
-            pair
-            for pair in oracle_pairs
-            if not any(lo <= pair[0][0] <= hi for lo, hi in lost)
+            row for row in oracle if not any(lo <= key(row) <= hi for lo, hi in lost)
         ]
         if result.rows != expected:
             raise ChaosViolation(
-                f"seed {seed}: partial result is not the oracle stream minus "
-                "its flagged ranges; the surviving rows are silently wrong"
+                f"seed {seed}: partial result is not the oracle minus its "
+                "flagged ranges; the surviving rows are silently wrong"
             )
         if not result.degradations:
             raise ChaosViolation(
                 f"seed {seed}: partial result carries no degradation events; "
                 "a shard was dropped silently"
             )
-        return
-    if result.rows != oracle_pairs:
+    elif result.rows != oracle:
         raise ChaosViolation(
-            f"seed {seed}: completed sharded scan is not bit-identical to "
-            f"the unsharded fault-free oracle ({len(result.rows)} rows vs "
-            f"{len(oracle_pairs)}); this is silent garbage"
+            f"seed {seed}: completed sharded run is not bit-identical to "
+            f"its fault-free oracle ({len(result.rows)} rows vs "
+            f"{len(oracle)}); this is silent garbage"
         )
-    if sorted(payload for _, payload in result.rows) != sorted(survivors):
-        raise ChaosViolation(
-            f"seed {seed}: sharded scan and the pure-python oracle disagree "
-            "on the row multiset"
-        )
-    if scenario == "clean" and result.degraded:
+    elif scenario == "clean" and result.degraded:
         raise ChaosViolation(
             f"seed {seed}: fault-free sharded world reported degradations"
         )
-    if scenario == "failover":
+    elif scenario == "failover":
         if fault in ("kill", "corrupt") and not result.degraded:
             raise ChaosViolation(
                 f"seed {seed}: armed {fault} fault never forced a "
@@ -977,408 +892,25 @@ def _verify_shard_result(
                 f"seed {seed}: latency plan never injected; the schedule "
                 "is vacuous"
             )
-
-
-def run_shard_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 900,
-    shards: int = 4,
-    copies: int = 2,
-) -> ChaosOutcome:
-    """Run the sharded harness scan under one seeded schedule.
-
-    The seed's :func:`shard_scenario` cell decides what happens to the
-    victim shard mid-scan, and the contract is graded accordingly:
-
-    * any run that completes non-partial must be **bit-identical** to
-      the unsharded fault-free oracle — across failover to a replica
-      copy, cross-copy page repair, and latency injection alike;
-    * a ``lone`` run (no replicas) that loses its copy must end in a
-      typed :class:`~repro.shard.ShardFailedError` or — on odd seeds,
-      which opt into ``allow_partial`` — a result whose
-      ``failed_ranges`` exactly account for every missing row;
-    * a wrong row, a silently dropped shard, or an untyped crash is a
-      :class:`ChaosViolation`.
-    """
-    backend_name = backend or kernels.get_backend().name
-    scenario, fault = shard_scenario(seed)
-    effective_copies = copies if scenario == "failover" else 1
-    armed_fault = None if scenario == "clean" else fault
-    allow_partial = scenario == "lone" and bool(seed % 2)
-
-    with kernels.use_backend(backend_name):
-        sdb, data, victim = build_shard_world(
-            seed,
-            rows=rows,
-            shards=shards,
-            copies=effective_copies,
-            fault=armed_fault,
+    if armed == "kill" and target.health()[victim][0] != "dead":
+        raise ChaosViolation(
+            f"seed {seed}: scheduled kill never fired; the schedule is vacuous"
         )
-        oracle_pairs = _shard_oracle(data)
-        survivors = _oracle_rows(data, QUERY["restrictions"], QUERY["sort_attr"])
-        if sorted(payload for _, payload in oracle_pairs) != sorted(survivors):
-            raise ChaosViolation(
-                "fault-free oracle is broken; shard-chaos results are "
-                "meaningless"
-            )
-
-        sdb.arm_faults()
-        if armed_fault == "kill":
-            sdb.kill_copy(victim, 0, after_rows=12 + seed % 25)
-        try:
-            result = sdb.sorted_scan(
-                QUERY["restrictions"],
-                QUERY["sort_attr"],
-                allow_partial=allow_partial,
-            )
-        except ShardFailedError as exc:
-            totals = sdb.fault_totals()
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=totals["injected"],
-                retries=totals["retries"],
-                quarantined=totals["quarantined"],
-                degradations=tuple(e.describe() for e in exc.degradations),
-                error=f"shard {exc.shard}: {exc}",
-                repaired=totals["repaired"],
-                lifted=totals["lifted"],
-            )
-        finally:
-            sdb.disarm_faults()
-
-        totals = sdb.fault_totals()
-        _verify_shard_result(
-            result, oracle_pairs, survivors, scenario, fault, totals, seed
-        )
-        if armed_fault == "kill":
-            states = sdb.health()
-            if states[victim][0] != "dead":
-                raise ChaosViolation(
-                    f"seed {seed}: scheduled kill never fired; the schedule "
-                    "is vacuous"
-                )
-        status = (
-            "partial"
-            if result.partial
-            else ("degraded" if result.degraded else "clean")
-        )
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status=status,
-            rows=len(result.rows),
-            faults_injected=totals["injected"],
-            retries=totals["retries"],
-            quarantined=totals["quarantined"],
-            degradations=tuple(e.describe() for e in result.degradations),
-            repaired=totals["repaired"],
-            lifted=totals["lifted"],
-        )
-
-
-def run_shard_suite(
-    seeds: Iterable[int] = DEFAULT_SHARD_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 900,
-    shards: int = 4,
-    copies: int = 2,
-) -> list[ChaosOutcome]:
-    """Sweep the shard schedules across ``backends`` (default: all)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(
-                run_shard_schedule(
-                    seed, backend=name, rows=rows, shards=shards, copies=copies
-                )
-            )
-    return outcomes
-
-
-# ----------------------------------------------------------------------
-# join sweep: a co-partitioned merge join under shard-copy fire
-# ----------------------------------------------------------------------
-#: the join sweep's pinned seeds — the same grid cells as the shard
-#: sweep (clean, latency-only, failover by kill, cross-copy repair,
-#: typed failure, flagged partial) but spread over both join kinds:
-#: 2/6/7 run the inner merge join, 10/13/29 the merge semi-join
-DEFAULT_JOIN_SEEDS: tuple[int, ...] = (2, 6, 7, 10, 13, 29)
-
-
-def join_scenario(seed: int) -> tuple[str, str, str]:
-    """``(scenario, fault, kind)`` for one join-sweep seed.
-
-    The first two axes reuse :func:`shard_scenario`'s grid; the third
-    picks the join kind — ``(seed // 9) % 2`` alternates between the
-    inner :class:`~repro.relational.operators.MergeJoin` and the
-    :class:`~repro.relational.operators.MergeSemiJoin` of Q4, so the
-    pinned sweep exercises both merge loops' abandon paths.
-    """
-    scenario, fault = shard_scenario(seed)
-    kind = ("inner", "semi")[(seed // 9) % 2]
-    return scenario, fault, kind
-
-
-def build_join_world(
-    seed: int,
-    *,
-    rows: int = 500,
-    shards: int = 4,
-    copies: int = 1,
-    fault: "str | None" = None,
-) -> tuple[ShardedDatabase, ShardedDatabase, "list[tuple]", "list[tuple]", int]:
-    """Two co-partitioned sharded relations plus the faulted shard index.
-
-    Both sides are range-sharded on the join attribute ``a1`` over the
-    same encoded domain, so every slab pair is join-aligned.  The fault
-    is armed on the *right* (probe) side's victim copy — the side a
-    pipelined merge join is mid-stream on whenever the build cursor
-    advances — and the victim shard is ``seed % shards``; the join runs
-    unrestricted, so the armed fault is always on the join path.  The
-    right relation is twice the size of the left (duplicate join keys
-    on the probe side, the usual fact-table shape).
-    """
-    victim = seed % shards
-    plans: "dict[tuple[int, int], FaultPlan] | None" = None
-    if fault == "corrupt":
-        plans = {(victim, 0): FaultPlan(seed=seed, corrupt_rate=0.30)}
-    elif fault == "slow":
-        plans = {
-            (victim, 0): FaultPlan(
-                seed=seed, latency_rate=0.5, latency_seconds=0.020
-            )
-        }
-    left = ShardedDatabase(
-        _chaos_schema(),
-        SHARD_DIMS,
-        "a1",
-        shards=shards,
-        copies=copies,
-        page_capacity=32,
-        quarantine_threshold=2,
-    )
-    left_data = _chaos_data(rows, data_seed=0)
-    left.load(left_data)
-    right = ShardedDatabase(
-        _chaos_schema(),
-        SHARD_DIMS,
-        "a1",
-        shards=shards,
-        copies=copies,
-        page_capacity=32,
-        quarantine_threshold=2,
-        fault_plans=plans,
-    )
-    right_data = _chaos_data(rows * 2, data_seed=1)
-    right.load(right_data)
-    return left, right, left_data, right_data, victim
-
-
-def _join_oracle(
-    left_data: "list[tuple]", right_data: "list[tuple]", kind: str
-) -> "list[tuple]":
-    """The serial fault-free merge join — the sweep's ground truth."""
-
-    def stream(data: "list[tuple]") -> "list[tuple]":
-        db = Database()
-        table = db.create_ub_table("oracle", _chaos_schema(), SHARD_DIMS, 32)
-        table.bulk_load(data)
-        return [row for _, row in table.tetris_scan(None, "a1")]
-
-    join_cls = MergeJoin if kind == "inner" else MergeSemiJoin
-    return list(
-        join_cls(
-            stream(left_data),
-            stream(right_data),
-            left_key=lambda row: row[0],
-            right_key=lambda row: row[0],
-        )
-    )
-
-
-def _verify_join_result(
-    result: ShardedJoinResult,
-    oracle: "list[tuple]",
-    scenario: str,
-    fault: str,
-    totals: "dict[str, int]",
-    seed: int,
-) -> None:
-    """Hold a completed co-partitioned join to the bit-identity contract."""
     if result.partial:
-        encoder = _chaos_schema().attribute("a1").encoder
-        lost = result.failed_ranges
-        expected = [
-            row
-            for row in oracle
-            if not any(lo <= encoder.encode(row[0]) <= hi for lo, hi in lost)
-        ]
-        if result.rows != expected:
-            raise ChaosViolation(
-                f"seed {seed}: partial join is not the serial join minus its "
-                "flagged key ranges; the surviving rows are silently wrong"
-            )
-        if not result.degradations:
-            raise ChaosViolation(
-                f"seed {seed}: partial join carries no degradation events; "
-                "a shard pair was dropped silently"
-            )
-        return
-    if result.rows != oracle:
-        raise ChaosViolation(
-            f"seed {seed}: completed co-partitioned join is not bit-identical "
-            f"to the serial join ({len(result.rows)} rows vs {len(oracle)}); "
-            "this is silent garbage"
-        )
-    if scenario == "clean" and result.degraded:
-        raise ChaosViolation(
-            f"seed {seed}: fault-free co-partitioned join reported degradations"
-        )
-    if scenario == "failover":
-        if fault in ("kill", "corrupt") and not result.degraded:
-            raise ChaosViolation(
-                f"seed {seed}: armed {fault} fault never forced a "
-                "degradation; the schedule is vacuous"
-            )
-        if fault == "slow" and totals["injected"] < 1:
-            raise ChaosViolation(
-                f"seed {seed}: latency plan never injected; the schedule "
-                "is vacuous"
-            )
-
-
-def run_join_schedule(
-    seed: int,
-    *,
-    backend: str | None = None,
-    rows: int = 500,
-    shards: int = 4,
-    copies: int = 2,
-) -> ChaosOutcome:
-    """Run one co-partitioned join under a seeded shard-copy schedule.
-
-    The grading mirrors :func:`run_shard_schedule`, applied to the
-    join's concatenated output stream:
-
-    * any run that completes non-partial must be **bit-identical** to
-      the serial merge join of the two serial sorted streams — across
-      mid-join failover to a replica copy, cross-copy page repair, and
-      latency injection alike;
-    * a ``lone`` run that loses its probe-side copy must end in a typed
-      :class:`~repro.shard.ShardFailedError` or — on odd seeds, which
-      opt into ``allow_partial`` — a result whose ``failed_ranges``
-      exactly account for every missing output row;
-    * a wrong or reordered row, a silently dropped shard pair, or an
-      untyped crash is a :class:`ChaosViolation`.
-    """
-    backend_name = backend or kernels.get_backend().name
-    scenario, fault, kind = join_scenario(seed)
-    effective_copies = copies if scenario == "failover" else 1
-    armed_fault = None if scenario == "clean" else fault
-    allow_partial = scenario == "lone" and bool(seed % 2)
-
-    with kernels.use_backend(backend_name):
-        left, right, left_data, right_data, victim = build_join_world(
-            seed,
-            rows=rows,
-            shards=shards,
-            copies=effective_copies,
-            fault=armed_fault,
-        )
-        oracle = _join_oracle(left_data, right_data, kind)
-        join = CoPartitionedJoin(left, right, kind=kind)
-        right.arm_faults()
-        if armed_fault == "kill":
-            right.kill_copy(victim, 0, after_rows=12 + seed % 25)
-        try:
-            result = join.run(allow_partial=allow_partial)
-        except ShardFailedError as exc:
-            totals = right.fault_totals()
-            return ChaosOutcome(
-                seed=seed,
-                backend=backend_name,
-                status="failed",
-                rows=0,
-                faults_injected=totals["injected"],
-                retries=totals["retries"],
-                quarantined=totals["quarantined"],
-                degradations=tuple(e.describe() for e in exc.degradations),
-                error=f"shard {exc.shard}: {exc}",
-                repaired=totals["repaired"],
-                lifted=totals["lifted"],
-            )
-        finally:
-            right.disarm_faults()
-
-        totals = right.fault_totals()
-        _verify_join_result(result, oracle, scenario, fault, totals, seed)
-        if armed_fault == "kill":
-            if right.health()[victim][0] != "dead":
-                raise ChaosViolation(
-                    f"seed {seed}: scheduled kill never fired; the schedule "
-                    "is vacuous"
-                )
-        status = (
-            "partial"
-            if result.partial
-            else ("degraded" if result.degraded else "clean")
-        )
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status=status,
-            rows=len(result.rows),
-            faults_injected=totals["injected"],
-            retries=totals["retries"],
-            quarantined=totals["quarantined"],
-            degradations=tuple(e.describe() for e in result.degradations),
-            repaired=totals["repaired"],
-            lifted=totals["lifted"],
-        )
-
-
-def run_join_suite(
-    seeds: Iterable[int] = DEFAULT_JOIN_SEEDS,
-    *,
-    backends: "Sequence[str] | None" = None,
-    rows: int = 500,
-    shards: int = 4,
-    copies: int = 2,
-) -> list[ChaosOutcome]:
-    """Sweep the join schedules across ``backends`` (default: all)."""
-    names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(
-                run_join_schedule(
-                    seed, backend=name, rows=rows, shards=shards, copies=copies
-                )
-            )
-    return outcomes
+        status = "partial"
+    else:
+        status = "degraded" if result.degraded else "clean"
+    return (
+        _outcome(
+            seed, status, totals, rows=len(result.rows), events=result.degradations
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
 # txn sweep: the 2PC commit path under log-device fire, plus a seeded
 # crash mid-transaction followed by a reboot and decision-log recovery
 # ----------------------------------------------------------------------
-#: the txn sweep's pinned seeds: 6 crashes the decision log's ack force
-#: (verdict durable, recovery re-acks a fully committed transaction),
-#: 23 crashes a shard WAL mid-work (presumed abort rolls everything
-#: back), and 85 crashes a shard WAL's own commit record (recovery
-#: resolves the in-doubt batches forward to commit) — so the default
-#: sweep covers commit-through-fire plus all three recovery verdict
-#: paths on both kernel backends
-DEFAULT_TXN_SEEDS: tuple[int, ...] = (6, 23, 85)
-
-
 def txn_plan(seed: int) -> FaultPlan:
     """Log-device fault mix for one txn-sweep seed.
 
@@ -1401,7 +933,7 @@ def build_txn_world(
 
     With a ``seed``, every shard WAL *and* the coordinator's decision
     log get their own derived fault plan; with ``None`` the world is
-    fault-free (the sweep's oracle).
+    fault-free (the txn sweep's oracle and the crash grid's world).
     """
     wal_plans = None
     log_plan = None
@@ -1413,7 +945,7 @@ def build_txn_world(
         }
         log_plan = txn_plan(seed + 101)
     sdb = ShardedDatabase(
-        _chaos_schema(),
+        chaos_schema(),
         SHARD_DIMS,
         "a1",
         shards=shards,
@@ -1425,11 +957,11 @@ def build_txn_world(
     return sdb, TransactionCoordinator(sdb, log_fault_plan=log_plan)
 
 
-def _txn_fingerprint(sdb: ShardedDatabase) -> tuple:
-    """Full-domain sharded scan: the txn sweep's equality oracle."""
+def sharded_fingerprint(sdb: ShardedDatabase) -> tuple:
+    """Full-domain sharded scan: the equality oracle of 2PC worlds."""
     result = sdb.sorted_scan({"a1": (0, 1023)}, "a2")
     if result.partial or result.degraded:
-        raise ChaosViolation("txn fingerprint scan degraded unexpectedly")
+        raise ChaosViolation("fingerprint scan degraded unexpectedly")
     return tuple(result.rows)
 
 
@@ -1441,15 +973,7 @@ def _txn_faults(sdb: ShardedDatabase, txn: TransactionCoordinator) -> int:
     return total
 
 
-def run_txn_schedule(
-    seed: int,
-    *,
-    backend: "str | None" = None,
-    shards: int = 2,
-    copies: int = 1,
-    rows: int = 200,
-    extra_rows: int = 24,
-) -> ChaosOutcome:
+def _txn_schedule(seed: int, _replicas: int) -> tuple[ChaosOutcome]:
     """One seed's 2PC schedule: commit through fire, then crash+recover.
 
     Two legs, both against a fault-free oracle world driven through the
@@ -1468,119 +992,189 @@ def run_txn_schedule(
        (durable commit verdict) or the pre-insert baseline (presumed
        abort) — with a second recovery pass changing nothing.
     """
-    backend_name = backend or kernels.get_backend().name
-    with kernels.use_backend(backend_name):
-        data = _chaos_data(rows, data_seed=0)
-        extras = _chaos_data(extra_rows, data_seed=1)
+    data = chaos_data(200, data_seed=0)
+    extras = chaos_data(24, data_seed=1)
 
-        oracle_sdb, oracle_txn = build_txn_world(
-            None, shards=shards, copies=copies
+    oracle_sdb, oracle_txn = build_txn_world()
+    oracle_txn.atomic_load(data)
+    base_fp = sharded_fingerprint(oracle_sdb)
+    devices = oracle_txn.devices()
+    before = {d: oracle_txn.append_count(d) for d in devices}
+    oracle_txn.atomic_insert(extras)
+    #: per-device appends the insert transaction makes — identical
+    #: in the faulted world (fault retries re-force, they do not
+    #: re-append), so the seed can aim anywhere in the protocol
+    insert_appends = {d: oracle_txn.append_count(d) - before[d] for d in devices}
+    oracle_fp = sharded_fingerprint(oracle_sdb)
+
+    # leg 1: the whole commit path under seeded log-device fire
+    sdb, txn = build_txn_world(seed)
+    sdb.arm_faults()
+    txn.log.arm_log_faults()
+    try:
+        txn.atomic_load(data)
+        txn.atomic_insert(extras)
+    finally:
+        sdb.disarm_faults()
+        txn.log.disarm_log_faults()
+    if sharded_fingerprint(sdb) != oracle_fp:
+        raise ChaosViolation(
+            f"seed {seed}: committed world diverged from the oracle; "
+            "a log fault leaked past the verified force"
         )
-        oracle_txn.atomic_load(data)
-        base_fp = _txn_fingerprint(oracle_sdb)
-        devices = oracle_txn.devices()
-        before = {d: oracle_txn.append_count(d) for d in devices}
-        oracle_txn.atomic_insert(extras)
-        #: per-device appends the insert transaction makes — identical
-        #: in the faulted world (fault retries re-force, they do not
-        #: re-append), so the seed can aim anywhere in the protocol
-        insert_appends = {
-            d: oracle_txn.append_count(d) - before[d] for d in devices
-        }
-        oracle_fp = _txn_fingerprint(oracle_sdb)
+    faults = _txn_faults(sdb, txn)
 
-        # leg 1: the whole commit path under seeded log-device fire
-        sdb, txn = build_txn_world(seed, shards=shards, copies=copies)
-        sdb.arm_faults()
-        txn.log.arm_log_faults()
+    # leg 2: crash mid-insert, reboot, decision-log recovery
+    sdb2, txn2 = build_txn_world(seed)
+    sdb2.arm_faults()
+    txn2.log.arm_log_faults()
+    crashed = False
+    resolved = 0
+    try:
+        txn2.atomic_load(data)
+        # crash only on *log* devices: their appends happen strictly
+        # inside transactions, so a countdown that never fires here
+        # can never go off later (data-disk crash points are covered
+        # exhaustively by ``tools.crashgrid``)
+        log_devices = [
+            device for device in txn2.devices() if not device.endswith(".disk")
+        ]
+        device = log_devices[seed % len(log_devices)]
+        countdown = 1 + (seed // 3) % insert_appends[device]
+        txn2.crash_after(device, countdown)
         try:
-            txn.atomic_load(data)
-            txn.atomic_insert(extras)
-        finally:
-            sdb.disarm_faults()
-            txn.log.disarm_log_faults()
-        if _txn_fingerprint(sdb) != oracle_fp:
+            txn2.atomic_insert(extras)
+        except SimulatedCrashError:
+            crashed = True
+    finally:
+        sdb2.disarm_faults()
+        txn2.log.disarm_log_faults()
+    faults += _txn_faults(sdb2, txn2)
+    if crashed:
+        report = txn2.recover()
+        resolved = report.resolved_commits + report.resolved_aborts
+        fp = sharded_fingerprint(sdb2)
+        decided = txn2.log.decision_for("insert#1")
+        expected = oracle_fp if decided == "commit" else base_fp
+        if fp != expected:
             raise ChaosViolation(
-                f"seed {seed}: committed world diverged from the oracle; "
-                "a log fault leaked past the verified force"
+                f"seed {seed}: recovery landed on neither verdict "
+                f"(decision log says {decided!r})"
             )
-        faults = _txn_faults(sdb, txn)
-
-        # leg 2: crash mid-insert, reboot, decision-log recovery
-        sdb2, txn2 = build_txn_world(seed, shards=shards, copies=copies)
-        sdb2.arm_faults()
-        txn2.log.arm_log_faults()
-        crashed = False
-        resolved = 0
-        try:
-            txn2.atomic_load(data)
-            # crash only on *log* devices: their appends happen strictly
-            # inside transactions, so a countdown that never fires here
-            # can never go off later (data-disk crash points are covered
-            # exhaustively by ``tools.crashgrid``)
-            log_devices = [
-                device
-                for device in txn2.devices()
-                if not device.endswith(".disk")
-            ]
-            device = log_devices[seed % len(log_devices)]
-            countdown = 1 + (seed // 3) % insert_appends[device]
-            txn2.crash_after(device, countdown)
-            try:
-                txn2.atomic_insert(extras)
-            except SimulatedCrashError:
-                crashed = True
-        finally:
-            sdb2.disarm_faults()
-            txn2.log.disarm_log_faults()
-        faults += _txn_faults(sdb2, txn2)
-        if crashed:
-            report = txn2.recover()
-            resolved = report.resolved_commits + report.resolved_aborts
-            fp = _txn_fingerprint(sdb2)
-            decided = txn2.log.decision_for("insert#1")
-            expected = oracle_fp if decided == "commit" else base_fp
-            if fp != expected:
-                raise ChaosViolation(
-                    f"seed {seed}: recovery landed on neither verdict "
-                    f"(decision log says {decided!r})"
-                )
-            again = txn2.recover()
-            if (
-                again.resolved_commits
-                or again.resolved_aborts
-                or again.reacked
-                or _txn_fingerprint(sdb2) != fp
-            ):
-                raise ChaosViolation(
-                    f"seed {seed}: txn recovery is not idempotent"
-                )
-        elif _txn_fingerprint(sdb2) != oracle_fp:
-            raise ChaosViolation(
-                f"seed {seed}: uncrashed insert diverged from the oracle"
-            )
-        return ChaosOutcome(
-            seed=seed,
-            backend=backend_name,
-            status="recovered" if crashed else "clean",
+        again = txn2.recover()
+        if (
+            again.resolved_commits
+            or again.resolved_aborts
+            or again.reacked
+            or sharded_fingerprint(sdb2) != fp
+        ):
+            raise ChaosViolation(f"seed {seed}: txn recovery is not idempotent")
+    elif sharded_fingerprint(sdb2) != oracle_fp:
+        raise ChaosViolation(
+            f"seed {seed}: uncrashed insert diverged from the oracle"
+        )
+    return (
+        _outcome(
+            seed,
+            "recovered" if crashed else "clean",
+            {"injected": faults},
             rows=len(oracle_fp),
-            faults_injected=faults,
-            retries=0,
-            quarantined=0,
             healed=resolved,
-        )
+        ),
+    )
 
 
-def run_txn_suite(
-    seeds: Iterable[int] = DEFAULT_TXN_SEEDS,
+# ----------------------------------------------------------------------
+# the sweep registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Sweep:
+    """One registered fault sweep: world → fault schedule → route → grade."""
+
+    name: str
+    #: the pinned seeds the CLI and CI sweep by default
+    seeds: tuple[int, ...]
+    #: ``(seed, replicas) -> outcomes``, one per graded world; runs in
+    #: the active kernel backend and raises :class:`ChaosViolation` on
+    #: any silent wrong answer (only the read sweep uses ``replicas``)
+    schedule: Callable[[int, int], tuple[ChaosOutcome, ...]]
+    #: ``(line label, replay mode)`` per graded world, when a schedule
+    #: grades more than one
+    worlds: tuple[tuple[str, str], ...] = ()
+    #: what the summary line calls one schedule, and what it certifies
+    noun: str = "schedule(s)"
+    verdict: str = "zero silent wrong answers"
+
+    @property
+    def labels(self) -> tuple[tuple[str, str], ...]:
+        """``(line label, replay mode)`` for each outcome of a schedule."""
+        return self.worlds or (("", self.name),)
+
+
+SWEEPS: dict[str, Sweep] = {
+    sweep.name: sweep
+    for sweep in (
+        # chosen to cover clean, degraded and failed outcomes on both
+        # kernel backends
+        Sweep("read", (17, 23, 33), _read_schedule),
+        # each picks a different victim page inside the sweep-ahead window
+        Sweep(
+            "prefetch",
+            (3, 12, 29),
+            _prefetch_schedule,
+            worlds=(("demand", "prefetch-demand"), ("prefetch", "prefetch-armed")),
+            noun="prefetch identity schedule(s)",
+            verdict="demand and prefetch worlds degraded identically",
+        ),
+        # every schedule tears at least one page mid-bulk_load on both
+        # backends, forcing the WAL's redo path to do real work
+        Sweep("write", (7, 19, 41), _write_schedule),
+        # each lands on a different shard_scenario cell: a clean run
+        # (6), latency only (7), failover by kill (10), cross-copy
+        # repair after corruption (13), a typed failure (2) and a
+        # flagged partial (29); the join sweep runs 2/6/7 as inner
+        # joins and 10/13/29 as semi-joins
+        Sweep("shard", (2, 6, 7, 10, 13, 29), partial(_sharded_schedule, _scan_route)),
+        Sweep("join", (2, 6, 7, 10, 13, 29), partial(_sharded_schedule, _join_route)),
+        # 6 crashes the decision log's ack force (recovery re-acks a
+        # committed transaction), 23 crashes a shard WAL mid-work
+        # (presumed abort), 85 crashes a shard WAL's own commit record
+        # (recovery resolves the in-doubt batches forward)
+        Sweep("txn", (6, 23, 85), _txn_schedule),
+    )
+}
+
+
+def run_schedule(
+    sweep: str,
+    seed: int,
+    *,
+    backend: str | None = None,
+    replicas: int = 0,
+) -> tuple[ChaosOutcome, ...]:
+    """Run and grade one seeded schedule of ``sweep``.
+
+    Returns one outcome per graded world (two for ``prefetch``: demand
+    then prefetch, one otherwise); any broken contract raises
+    :class:`ChaosViolation`.
+    """
+    with kernels.use_backend(backend or kernels.get_backend().name):
+        return SWEEPS[sweep].schedule(seed, replicas)
+
+
+def run_suite(
+    sweep: str,
+    seeds: "Sequence[int] | None" = None,
     *,
     backends: "Sequence[str] | None" = None,
-    rows: int = 200,
-) -> list[ChaosOutcome]:
-    """Sweep the txn schedules across ``backends`` (default: all)."""
+    replicas: int = 0,
+) -> list[tuple[ChaosOutcome, ...]]:
+    """Sweep ``seeds`` (default: the pinned ones) across ``backends``
+    (default: all available)."""
     names = list(backends) if backends else kernels.available_backends()
-    outcomes = []
-    for name in names:
-        for seed in seeds:
-            outcomes.append(run_txn_schedule(seed, backend=name, rows=rows))
-    return outcomes
+    chosen = SWEEPS[sweep].seeds if seeds is None else seeds
+    return [
+        run_schedule(sweep, seed, backend=name, replicas=replicas)
+        for name in names
+        for seed in chosen
+    ]

@@ -31,15 +31,20 @@ against a raw, coordinator-less sharded load).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro import kernels
-from repro.relational import Attribute, IntEncoder, Schema
 from repro.shard import ShardedDatabase
 from repro.storage.errors import SimulatedCrashError
 from repro.txn import TransactionCoordinator
+from tools.chaos import (
+    SHARD_DIMS,
+    build_txn_world,
+    chaos_data,
+    chaos_schema,
+    sharded_fingerprint,
+)
 
 __all__ = [
     "CrashGridResult",
@@ -49,14 +54,6 @@ __all__ = [
     "run_crash_grid",
     "run_crash_grids",
 ]
-
-#: index dimensions / shard attribute of the grid's fixed world
-DIMS = ("a1", "a2")
-SHARD_ATTR = "a1"
-
-#: the full-domain query whose sorted rows fingerprint the world
-FULL_QUERY = {"a1": (0, 1023)}
-SORT_ATTR = "a2"
 
 #: the two workload shapes the grid explores
 WORKLOADS = ("load", "insert")
@@ -107,48 +104,6 @@ class CrashGridResult:
         )
 
 
-def _grid_schema() -> Schema:
-    return Schema(
-        [
-            Attribute("a1", IntEncoder(0, 1023)),
-            Attribute("a2", IntEncoder(0, 1023)),
-            Attribute("v", IntEncoder(0, 10**9)),
-        ]
-    )
-
-
-def _grid_rows(count: int, seed: int) -> list[tuple]:
-    rng = random.Random(seed)
-    return [
-        (rng.randrange(1024), rng.randrange(1024), i) for i in range(count)
-    ]
-
-
-def _build_world(
-    *, shards: int, copies: int, page_capacity: int
-) -> tuple[ShardedDatabase, TransactionCoordinator]:
-    sdb = ShardedDatabase(
-        _grid_schema(),
-        DIMS,
-        SHARD_ATTR,
-        shards=shards,
-        copies=copies,
-        page_capacity=page_capacity,
-        wal=True,
-    )
-    return sdb, TransactionCoordinator(sdb)
-
-
-def _fingerprint(sdb: ShardedDatabase) -> tuple:
-    """The sharded scan over the full domain: the grid's equality oracle."""
-    result = sdb.sorted_scan(FULL_QUERY, SORT_ATTR)
-    if result.partial or result.degraded:
-        raise CrashGridViolation(
-            "fingerprint scan degraded in a fault-free world"
-        )
-    return tuple(result.rows)
-
-
 def _world_clock(
     sdb: ShardedDatabase, txn: "TransactionCoordinator | None"
 ) -> float:
@@ -195,17 +150,17 @@ def run_crash_grid(
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; pick {WORKLOADS}")
     backend_name = backend or kernels.get_backend().name
-    data = _grid_rows(rows, seed)
-    extra = _grid_rows(extra_rows, seed + 1)
+    data = chaos_data(rows, seed)
+    extra = chaos_data(extra_rows, seed + 1)
 
     with kernels.use_backend(backend_name):
         # reference run: count appends, fingerprint both landing states
-        sdb, txn = _build_world(
+        sdb, txn = build_txn_world(
             shards=shards, copies=copies, page_capacity=page_capacity
         )
         if workload == "insert":
             txn.atomic_load(data)
-        baseline_fp = _fingerprint(sdb)
+        baseline_fp = sharded_fingerprint(sdb)
         devices = txn.devices()
         before = {dev: txn.append_count(dev) for dev in devices}
         _run_workload(txn, workload, data, extra)
@@ -213,7 +168,7 @@ def run_crash_grid(
         counts = {
             dev: txn.append_count(dev) - before[dev] for dev in devices
         }
-        oracle_fp = _fingerprint(sdb)
+        oracle_fp = sharded_fingerprint(sdb)
         if oracle_fp == baseline_fp:
             raise CrashGridViolation(
                 "workload is a no-op; the grid would prove nothing"
@@ -222,7 +177,7 @@ def run_crash_grid(
         points: list[CrashPoint] = []
         for device in devices:
             for index in range(1, counts[device] + 1):
-                sdb, txn = _build_world(
+                sdb, txn = build_txn_world(
                     shards=shards, copies=copies, page_capacity=page_capacity
                 )
                 if workload == "insert":
@@ -239,14 +194,14 @@ def run_crash_grid(
                         "reference count claims this append happens"
                     )
                 report = txn.recover()
-                fp = _fingerprint(sdb)
+                fp = sharded_fingerprint(sdb)
                 again = txn.recover()
                 if again.resolved_commits or again.resolved_aborts or again.reacked:
                     raise CrashGridViolation(
                         f"{device}#{index}: second recovery pass was not "
                         f"a no-op ({again.describe()})"
                     )
-                if _fingerprint(sdb) != fp:
+                if sharded_fingerprint(sdb) != fp:
                     raise CrashGridViolation(
                         f"{device}#{index}: second recovery pass changed "
                         "the recovered world"
@@ -329,11 +284,11 @@ def measure_commit_overhead(
     the per-participant prepare force, the coordinator's three decision
     records, and their verified-force overhead.
     """
-    data = _grid_rows(rows, seed)
+    data = chaos_data(rows, seed)
     raw = ShardedDatabase(
-        _grid_schema(),
-        DIMS,
-        SHARD_ATTR,
+        chaos_schema(),
+        SHARD_DIMS,
+        "a1",
         shards=shards,
         copies=copies,
         page_capacity=page_capacity,
@@ -341,7 +296,7 @@ def measure_commit_overhead(
     )
     raw.load(data)
     raw_clock = _world_clock(raw, None)
-    sdb, txn = _build_world(
+    sdb, txn = build_txn_world(
         shards=shards, copies=copies, page_capacity=page_capacity
     )
     txn.atomic_load(data)
